@@ -282,8 +282,7 @@ def run_cli(argv) -> int:
     try:
         return args.func(args)
     except ThetaCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error_out(args.format, EXIT_USAGE, type(exc).__name__, str(exc))
 
 
 def main() -> None:

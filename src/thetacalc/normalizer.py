@@ -11,10 +11,10 @@ generators in order reproduces the normalized series by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import DiffPoly, Grade, enumerate_basis
-from .cohomology import _ad_p1_column, decompose_h2, evolutionary_field
+from .algebra import DiffPoly, Grade
+from .cohomology import block_operator, decompose_h2, evolutionary_field
 from .deltaform import theta_to_delta
 from .errors import (
     InternalInconsistency,
@@ -24,7 +24,6 @@ from .errors import (
     NonstandardLeadingTerm,
     ObstructionNonzeroBockstein,
 )
-from .linsolve import solve_poly_system
 from .rationals import QQ
 from .schouten import (
     BracketSeries,
@@ -37,20 +36,11 @@ from .variational import Functional, var_theta
 
 
 @dataclass
-class DegreeRecord:
-    degree: int
-    c: object  # rational or None (even degree)
-    chi_zero: bool
-    generator_nonzero: bool
-
-
-@dataclass
 class NormalizationResult:
     order: int
     invariants: list  # [(k, c_k)] with 2k+1 <= order+1
     generators: list  # applied vector fields, ascending degree
     normalized: BracketSeries
-    diagnostics: list = field(default_factory=list)
 
     def invariant_values(self):
         return [c for _, c in self.invariants]
@@ -107,7 +97,6 @@ def normalize(
 
     invariants = []
     generators = []
-    diagnostics = []
     for d in range(2, order + 2):
         dec = decompose_h2(cur.component(d), d)
         if not dec.chi.is_zero():
@@ -126,14 +115,11 @@ def normalize(
         # canonical density so later steps push around less material
         part = pst(d, 0).scale(dec.c) if (d % 2 == 1 and dec.c != 0) else Functional.zero()
         cur = _replace_component(cur, d, part)
-        diagnostics.append(
-            DegreeRecord(d, dec.c, dec.chi.is_zero(), not Y.density.is_zero())
-        )
 
     expected = build_normal_form([c for _, c in invariants], order)
     if not cur == expected:
         raise InternalInconsistency("normalized series is not in normal form")
-    return NormalizationResult(order, invariants, generators, cur, diagnostics)
+    return NormalizationResult(order, invariants, generators, cur)
 
 
 def _constant_value(poly: DiffPoly, what: str):
@@ -171,18 +157,16 @@ def invariants_fast(P: BracketSeries):
 def solve_coboundary(target: Functional, d: int):
     """A vector field X with ad_p1(X) = target, or None when infeasible.
 
-    Solved per weight block over evolutionary unknowns one degree lower.
+    Solved per weight block over evolutionary unknowns one degree lower,
+    with the block operator of decompose_h2: a target that needs a class
+    part (c or chi) is not a coboundary.
     """
     x_density = DiffPoly.zero()
     for w, block in target.density.weight_components().items():
-        basis = [m.as_poly() for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
-        columns = [_ad_p1_column(m) for m in basis]
-        sol = solve_poly_system(columns, var_theta(block))
-        if sol is None:
+        part = block_operator(d, w).solve(var_theta(block))
+        if part is None or part.c or not part.chi.is_zero():
             return None
-        for coeff, m in zip(sol, basis):
-            if coeff != 0:
-                x_density = x_density + m.scale(coeff)
+        x_density = x_density + part.x
     return evolutionary_field(x_density)
 
 

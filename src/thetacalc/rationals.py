@@ -1,12 +1,13 @@
 """Exact rational coefficients.
 
-gmpy2's mpq is used when available (much faster on the big elimination
-runs); fractions.Fraction is a drop-in fallback.
+fractions.Fraction is the default.  When gmpy2 is installed (the
+optional `fast` extra, `pip install -e .[fast]`), its mpq is used
+instead; it is much faster on the big elimination runs.
 """
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)

@@ -112,6 +112,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
+def test_uncaught_library_error_is_json(capsys, monkeypatch):
+    from thetacalc import cli
+    from thetacalc.errors import InternalInconsistency
+
+    def fail(p, d):
+        raise InternalInconsistency("boom")
+
+    monkeypatch.setattr(cli, "theta_quotient_basis", fail)
+    code, payload = run_json(
+        capsys, ["cohomology", "--p", "3", "--d", "5", "--format", "json"]
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "InternalInconsistency"
+    assert "boom" in payload["error"]["message"]
+
+
 def test_missing_file_exit_code(capsys):
     assert run_cli(["normalize", str(DATA / "no_such_file.pb")]) == 1
     capsys.readouterr()

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
 from thetacalc.cohomology import (
+    _ad_p1_column,
+    block_operator,
     bockstein_split,
     decompose_h2,
     delta,
@@ -223,8 +225,6 @@ def test_decompose_unique_against_pivot_order():
     chi = theta_monomial((3, 2, 0))
     P = pst(5, 0).scale(QQ(7, 3)) + Functional(bockstein_split(chi).scale(-2)) + pst(4, 1)
     d = 5
-    from thetacalc.cohomology import _ad_p1_column
-
     for w, block in P.density.weight_components().items():
         cols = []
         tags = []
@@ -248,6 +248,61 @@ def test_decompose_unique_against_pivot_order():
                 assert coeff == (QQ(-2) if j == 0 else 0)
 
 
+# -- the block operator ------------------------------------------------------
+
+
+def _reference_block(d, w):
+    """Generator basis and columns of the (d, w) block, built directly."""
+    basis = [m.as_poly() for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
+    cols = [_ad_p1_column(m) for m in basis]
+    has_c = w == 0 and d % 2 == 1
+    if has_c:
+        cols.append(var_theta(pst(d, 0).density))
+    quot = theta_quotient_basis(3, d) if w == 1 else []
+    cols += [var_theta(bockstein_split(q)) for q in quot]
+    return basis, has_c, quot, cols
+
+
+def _split_reference(sol, basis, has_c, quot):
+    x = DiffPoly.zero()
+    for coeff, m in zip(sol, basis):
+        x = x + m.scale(coeff)
+    c = sol[len(basis)] if has_c else None
+    chi = DiffPoly.zero()
+    for coeff, q in zip(sol[len(sol) - len(quot) :], quot):
+        chi = chi + q.scale(coeff)
+    return x, c, chi
+
+
+def test_block_operator_matches_direct_solve():
+    import random
+
+    rng = random.Random(17)
+    foreign = th(9, 9) * th(8, 8)  # a row key no block column reaches
+    for d in range(1, 8):
+        for w in range(4):
+            basis, has_c, quot, cols = _reference_block(d, w)
+            op = block_operator(d, w)
+            rhs = DiffPoly.zero()
+            for col in cols:
+                rhs = rhs + col.scale(QQ(rng.randint(-3, 3), rng.randint(1, 3)))
+            sol = solve_poly_system(cols, rhs)
+            assert sol is not None
+            assert tuple(op.solve(rhs)) == _split_reference(sol, basis, has_c, quot), (d, w)
+            outside = [foreign]
+            keys = sorted({k for col in cols for k in col.terms})
+            unit = next(
+                (DiffPoly({k: QQ(1)}) for k in keys
+                 if solve_poly_system(cols, DiffPoly({k: QQ(1)})) is None),
+                None,
+            )
+            if unit is not None:
+                outside.append(unit + rhs)
+            for target in outside:
+                assert solve_poly_system(cols, target) is None
+                assert op.solve(target) is None, (d, w)
+
+
 # -- structural lemma verifiers ---------------------------------------------
 
 
@@ -267,8 +322,15 @@ def test_varder_lemma_small_range():
 
 
 def test_splitting_injective_small_range():
-    for d in range(1, 10):
-        assert verify_bockstein_injective(d)
+    # against the rank formula: the split columns add their full count
+    # to the rank of the generator columns
+    for d in range(1, 11):
+        quot = theta_quotient_basis(3, d)
+        gen = [_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
+        b = [var_theta(bockstein_split(q)) for q in quot]
+        want = poly_rank(gen + b) == poly_rank(gen) + len(quot)
+        assert verify_bockstein_injective(d) == want
+        assert want, d
 
 
 def test_nontriv_small_range():

@@ -290,3 +290,32 @@ def test_solve_coboundary_finds_witness():
 
 def test_solve_coboundary_rejects_class():
     assert solve_coboundary(pst(3, 0), 3) is None
+    split = Functional(bockstein_split(theta_monomial((2, 1, 0))))
+    assert solve_coboundary(split, 3) is None
+    assert solve_coboundary(split + pst(2, 1), 3) is None
+
+
+def test_normalize_same_with_cold_and_warm_block_cache():
+    from thetacalc.cohomology import block_operator
+    from thetacalc.printer import format_poly
+
+    rng = random.Random(20240)  # first input of acceptance criterion 7
+    cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+    P = build_normal_form(cs, 7)
+    for degree in (1, 2, 3):
+        w = rng.randint(1, 3)
+        basis = enumerate_basis(Grade(degree, 0, w))
+        coeff = QQ(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice([1, -1])
+        P = miura_apply(evolutionary_field(rng.choice(basis).as_poly().scale(coeff)), P, 7)
+
+    def outcome():
+        res = normalize(P, 7)
+        return res.invariants, [format_poly(g.density) for g in res.generators]
+
+    block_operator.cache_clear()
+    cold = outcome()
+    assert block_operator.cache_info().currsize > 0
+    warm = outcome()
+    assert block_operator.cache_info().hits > 0
+    assert cold == warm
+    assert [c for _, c in cold[0]] == cs
