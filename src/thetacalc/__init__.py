@@ -52,7 +52,6 @@ from .printer import format_bracket_file, format_poly
 from .rationals import QQ, rat, rat_str
 from .schouten import (
     BracketSeries,
-    ad,
     jacobi_check,
     miura_apply,
     pst,

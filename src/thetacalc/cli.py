@@ -40,6 +40,8 @@ EXIT_OBSTRUCTION = 3
 
 
 def _load_series(path: str, order):
+    if order is not None and order < 1:
+        raise BracketSpecError(f"--order must be at least 1, got {order}")
     with open(path, "r", encoding="utf-8") as fh:
         spec = parse(fh.read())
     series = spec.to_series()

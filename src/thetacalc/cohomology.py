@@ -209,10 +209,13 @@ def evolutionary_field(g: DiffPoly) -> Functional:
 
 
 def _ad_p1_column(m: DiffPoly) -> DiffPoly:
-    """theta-derivative coordinates of ad_p1 of the evolutionary field m*th."""
+    """theta-derivative coordinates of ad_p1 of the evolutionary field m*th.
+
+    The coefficient type of m is kept: an int m gives an int column.
+    """
     from .algebra import mul
 
-    return var_theta(delta(mul(m, DiffPoly.theta(0, 0))))
+    return var_theta(delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))
 
 
 class BlockSolution(NamedTuple):
@@ -232,21 +235,23 @@ class BlockOperator:
     generator columns alone, so a right-hand side in their span solves
     with c = 0 and chi = 0; for genuine cocycles the class columns are
     independent of the generators and the split is the unique one.
+    The columns live only while the block is factorized.
     """
 
     __slots__ = ("_x_keys", "_c_index", "_chi_keys", "_system")
 
     def __init__(self, d: int, w: int):
-        basis = enumerate_basis(Grade(d - 1, 0, w + 1))
+        self._x_keys = tuple(m.key for m in enumerate_basis(Grade(d - 1, 0, w + 1)))
         quot = theta_quotient_basis(3, d) if w == 1 else []
-        columns = [_ad_p1_column(m.as_poly()) for m in basis]
+        self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
+        # unit monomials with int coefficients keep the generator and
+        # split-class columns integral, Euler-operator sweeps included
+        columns = [_ad_p1_column(DiffPoly({k: 1})) for k in self._x_keys]
         self._c_index = None
         if w == 0 and d % 2 == 1:
             self._c_index = len(columns)
             columns.append(var_theta(pst(d, 0).density))
-        columns += [var_theta(bockstein_split(q)) for q in quot]
-        self._x_keys = tuple(m.key for m in basis)
-        self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
+        columns += [var_theta(bockstein_split(DiffPoly({k: 1}))) for k in self._chi_keys]
         self._system = Factorization(columns)
 
     @property

@@ -1,66 +1,68 @@
 """Sparse exact linear algebra over the rationals.
 
-Systems are assembled with rows keyed by monomial keys and columns by
-unknown indices, then reduced by deterministic leftmost-column
-elimination (pivot row chosen by fewest nonzeros, index tie-break), so
-repeated runs produce identical solutions.  Arithmetic is exact, there
-is no tolerance anywhere.
+Systems are assembled from polynomial columns, with rows keyed by
+monomial keys and columns by unknown indices.  Each column is scaled by
+the lcm of its coefficient denominators, so the coefficient matrix is
+integral; the scale is undone in the solution.
 
-A Factorization eliminates a column set once and keeps the row
-operations; each later solve replays them on the right-hand side alone,
-so a coefficient matrix that recurs is reduced only once.
+Elimination is fraction-free over Python ints (Bareiss 1968; von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The pivot row is
+left undivided.  Every other row r holding f in the pivot column becomes
+(a*r - b*pr) / content, where g = gcd(pv, f), a = pv/g, b = f/g and
+content is the gcd of the new row's entries.  Only the right-hand side
+is rational; it goes through the same row operations, and a pivot
+unknown is rhs[piv] / rows[piv][col] times its column scale.
+
+The pivot rule (leftmost column, then the pivot row with the fewest
+nonzeros, index tie-break) depends only on row supports, and scaling a
+row never changes its support.  So the pivots, and the solutions with
+free unknowns set to zero, are those of Gauss-Jordan elimination over
+QQ, and repeated runs produce identical solutions.  Arithmetic is
+exact; there is no tolerance anywhere.
+
+A Factorization eliminates a column set once and records the integer
+row operations; each later solve replays them on a rational right-hand
+side, so a coefficient matrix that recurs is reduced only once.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
+from math import gcd, lcm
 
-from .rationals import ZERO
+from .rationals import QQ, ZERO
 
 
 class SparseSystem:
-    """A x = b with sparse rational rows."""
+    """A x = b with integer coefficient rows and a rational rhs.
 
-    def __init__(self):
-        self._rows = defaultdict(dict)
-        self._rhs = defaultdict(lambda: ZERO)
+    Built from polynomial columns and an optional polynomial rhs;
+    _eliminate reduces the rows in place.
+    """
 
-    def add(self, row_key, col: int, coeff) -> None:
-        row = self._rows[row_key]
-        c = row.get(col, ZERO) + coeff
-        if c == 0:
-            row.pop(col, None)
-        else:
-            row[col] = c
-
-    def add_rhs(self, row_key, coeff) -> None:
-        c = self._rhs[row_key] + coeff
-        if c == 0:
-            self._rhs.pop(row_key, None)
-        else:
-            self._rhs[row_key] = c
-
-    def add_poly_column(self, col: int, poly) -> None:
-        for key, c in poly.terms.items():
-            self.add(key, col, c)
-
-    def add_poly_rhs(self, poly) -> None:
-        for key, c in poly.terms.items():
-            self.add_rhs(key, c)
-
-    def _materialize(self):
-        keys = sorted(set(self._rows) | set(self._rhs))
-        rows = [dict(self._rows.get(k, ())) for k in keys]
-        rhs = [self._rhs.get(k, ZERO) for k in keys]
-        return keys, rows, rhs
+    def __init__(self, columns, rhs=None):
+        rows = defaultdict(dict)
+        self.scales = []
+        for j, col in enumerate(columns):
+            terms = col.terms
+            s = lcm(*(int(c.denominator) for c in terms.values()))
+            self.scales.append(s)
+            for key, c in terms.items():
+                if c:
+                    rows[key][j] = int(c.numerator) * (s // int(c.denominator))
+        b = {k: c for k, c in rhs.terms.items() if c} if rhs is not None else {}
+        self.ncols = len(self.scales)
+        self.keys = sorted(set(rows) | set(b))
+        self.rows = [rows.get(k, {}) for k in self.keys]
+        self.rhs = [QQ(b.get(k, 0)) for k in self.keys]
 
     def _eliminate(self, ncols: int, rows, rhs, *, on_pivot=None):
-        """Gauss-Jordan elimination of rows and rhs in place.
+        """Fraction-free Gauss-Jordan elimination of rows and rhs in place.
 
         on_pivot, when given, is called once per pivot column with the
-        pivot row, the pivot value, and the other rows reduced with
-        their factors: the row operations, in order, that Factorization
+        pivot row, the other rows reduced and their (a, b, content)
+        triples: the row operations, in order, that Factorization
         replays on a later right-hand side.
         """
         colindex = defaultdict(set)
@@ -87,113 +89,102 @@ class SparseSystem:
             pivot_of[col] = piv
             pr = rows[piv]
             pv = pr[col]
-            if pv != 1:
-                for k in pr:
-                    pr[k] /= pv
-                rhs[piv] /= pv
             rp = rhs[piv]
-            targets = []
-            factors = []
-            for i in holders:
-                f = rows[i].get(col)
-                if f and i != piv:
-                    targets.append(i)
-                    factors.append(f)
-            for i, f in zip(targets, factors):
+            targets = [i for i in holders if i != piv and rows[i].get(col)]
+            ops = []
+            for i in targets:
                 r = rows[i]
+                f = r[col]
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                if a != 1:
+                    r = {k: a * v for k, v in r.items()}
                 for k, v in pr.items():
-                    nv = r.get(k, ZERO) - f * v
-                    if nv == 0:
-                        r.pop(k, None)
-                    else:
+                    nv = r.get(k, 0) - b * v
+                    if nv:
                         r[k] = nv
                         colindex[k].add(i)
-                if rp:
-                    rhs[i] = rhs[i] - f * rp
+                    else:
+                        r.pop(k, None)
+                content = gcd(*r.values()) or 1
+                if content != 1:
+                    r = {k: v // content for k, v in r.items()}
+                rows[i] = r
+                if rp or rhs[i]:
+                    v = a * rhs[i] - b * rp
+                    rhs[i] = v / content if content != 1 else v
+                ops.append((a, b, content))
             if on_pivot is not None:
-                on_pivot(piv, pv, targets, factors)
+                on_pivot(piv, targets, ops)
             colindex[col] = {piv}
         return used, pivot_of
-
-    def solve(self, ncols: int):
-        """One exact solution with free unknowns set to zero, or None.
-
-        After the full sweep every non-pivot row is identically zero on
-        the coefficient side, so feasibility is just their rhs values.
-        """
-        _, rows, rhs = self._materialize()
-        used, pivot_of = self._eliminate(ncols, rows, rhs)
-        for i, r in enumerate(rows):
-            if i not in used and rhs[i] != 0:
-                return None
-        sol = [ZERO] * ncols
-        for col, piv in pivot_of.items():
-            sol[col] = rhs[piv]
-        return sol
-
-    def rank(self, ncols: int) -> int:
-        _, rows, rhs = self._materialize()
-        used, pivot_of = self._eliminate(ncols, rows, rhs)
-        return len(pivot_of)
 
 
 def solve_poly_system(columns, rhs):
     """Express rhs as a rational combination of the given polynomials.
 
-    Returns the coefficient list or None when rhs is outside the span.
+    Returns the coefficient list (free unknowns set to zero) or None
+    when rhs is outside the span.  After the full sweep every non-pivot
+    row is identically zero on the coefficient side, so feasibility is
+    just their rhs values.
     """
-    system = SparseSystem()
-    for j, col in enumerate(columns):
-        system.add_poly_column(j, col)
-    system.add_poly_rhs(rhs)
-    return system.solve(len(columns))
+    system = SparseSystem(columns, rhs)
+    rows, b = system.rows, system.rhs
+    used, pivot_of = system._eliminate(system.ncols, rows, b)
+    if any(b[i] for i in range(len(rows)) if i not in used):
+        return None
+    sol = [ZERO] * system.ncols
+    for col, piv in pivot_of.items():
+        sol[col] = b[piv] * system.scales[col] / rows[piv][col]
+    return sol
 
 
 def poly_rank(columns) -> int:
-    system = SparseSystem()
-    for j, col in enumerate(columns):
-        system.add_poly_column(j, col)
-    return system.rank(len(columns))
+    system = SparseSystem(columns)
+    return len(system._eliminate(system.ncols, system.rows, system.rhs)[1])
 
 
 class Factorization:
     """Columns eliminated once; solve replays the elimination on a rhs.
 
-    The record holds, per pivot column, the pivot row, the pivot value
-    and the (row, factor) updates, packed: row indices in one int array,
-    factors in one tuple of interned values.  Solutions equal those of
-    solve_poly_system on the same columns.
+    The record holds, per pivot column, the pivot row and the range of
+    its updates; an update is a target row index (all packed in one int
+    array) and its integer (a, b, content) triple (interned, in one
+    tuple).  Solutions equal those of solve_poly_system on the same
+    columns.
     """
 
     __slots__ = ("ncols", "pivot_columns", "_row_of", "_steps", "_targets",
-                 "_factors", "_free_rows", "_pivots")
+                 "_ops", "_free_rows", "_pivots")
 
     def __init__(self, columns):
-        system = SparseSystem()
-        for j, col in enumerate(columns):
-            system.add_poly_column(j, col)
-        keys, rows, rhs = system._materialize()
+        system = SparseSystem(columns)
         interned = {}
         steps = []
         targets = array("i")
-        factors = []
+        ops = []
 
-        def on_pivot(piv, pv, rows_hit, fs):
+        def on_pivot(piv, rows_hit, triples):
             lo = len(targets)
             targets.extend(rows_hit)
-            factors.extend(interned.setdefault(f, f) for f in fs)
-            steps.append((piv, interned.setdefault(pv, pv), lo, len(targets)))
+            ops.extend(interned.setdefault(t, t) for t in triples)
+            steps.append((piv, lo, len(targets)))
 
-        self.ncols = len(columns)
-        used, pivot_of = system._eliminate(self.ncols, rows, rhs, on_pivot=on_pivot)
+        rows = system.rows
+        self.ncols = system.ncols
+        used, pivot_of = system._eliminate(self.ncols, rows, system.rhs, on_pivot=on_pivot)
         self.pivot_columns = frozenset(pivot_of)
-        self._row_of = {key: i for i, key in enumerate(keys)}
+        self._row_of = {key: i for i, key in enumerate(system.keys)}
         self._steps = tuple(steps)
         self._targets = memoryview(targets).toreadonly()
-        self._factors = tuple(factors)
+        self._ops = tuple(ops)
         free = array("i", (i for i in range(len(rows)) if i not in used))
         self._free_rows = memoryview(free).toreadonly()
-        self._pivots = tuple(sorted(pivot_of.items()))
+        # a pivot unknown is its row's rhs times scale / final pivot value
+        self._pivots = tuple(
+            (col, piv, QQ(system.scales[col], rows[piv][col]))
+            for col, piv in sorted(pivot_of.items())
+        )
 
     def solve(self, rhs):
         """Coefficients expressing the polynomial rhs over the columns.
@@ -206,19 +197,24 @@ class Factorization:
             i = row_of.get(key)
             if i is None:
                 return None
-            vec[i] = c
-        targets, factors = self._targets, self._factors
-        for piv, pv, lo, hi in self._steps:
+            vec[i] = QQ(c)
+        targets, ops = self._targets, self._ops
+        for piv, lo, hi in self._steps:
             r = vec[piv]
-            if not r:
-                continue
-            if pv != 1:
-                r = vec[piv] = r / pv
-            for i, f in zip(targets[lo:hi], factors[lo:hi]):
-                vec[i] = vec[i] - f * r
+            for i, (a, b, g) in zip(targets[lo:hi], ops[lo:hi]):
+                v = vec[i]
+                if r:
+                    v = a * v - b * r
+                elif v and (a != 1 or g != 1):
+                    v = a * v
+                else:
+                    continue
+                vec[i] = v / g if g != 1 else v
         if any(vec[i] for i in self._free_rows):
             return None
         sol = [ZERO] * self.ncols
-        for col, piv in self._pivots:
-            sol[col] = vec[piv]
+        for col, piv, m in self._pivots:
+            v = vec[piv]
+            if v:
+                sol[col] = v * m
         return sol

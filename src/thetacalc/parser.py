@@ -20,7 +20,7 @@ Errors carry the source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import DiffPoly
 from .deltaform import DeltaForm, delta_to_theta
@@ -35,7 +35,6 @@ class BracketSpecFile:
     kind: str  # 'delta' or 'theta'
     delta: DeltaForm | None = None
     densities: dict | None = None  # degree -> DiffPoly
-    options: dict = field(default_factory=dict)
 
     def to_series(self) -> BracketSeries:
         if self.kind == "delta":

@@ -2,7 +2,8 @@
 
 fractions.Fraction is the default.  When gmpy2 is installed (the
 optional `fast` extra, `pip install -e .[fast]`), its mpq is used
-instead; it is much faster on the big elimination runs.
+instead.  Sparse elimination runs on Python ints either way (see
+linsolve), so the backend affects only the remaining rational work.
 """
 
 try:

@@ -58,11 +58,6 @@ def schouten(P: Functional, Q: Functional) -> Functional:
     return Functional(density)
 
 
-def ad(X: Functional, Q: Functional) -> Functional:
-    """Adjoint action of a local vector field."""
-    return schouten(X, Q)
-
-
 @dataclass
 class BracketSeries:
     """Bivector series truncated at a given order.
@@ -124,15 +119,6 @@ class BracketSeries:
             if not self.component(d) == other.component(d):
                 return False
         return True
-
-    def max_weight(self) -> int:
-        w = 0
-        for F in self.components.values():
-            for key in F.density.terms:
-                from .algebra import _key_grade
-
-                w = max(w, _key_grade(key).w)
-        return w
 
 
 def is_standard_leading(P: BracketSeries) -> bool:

@@ -149,7 +149,7 @@ def divergence_decompose(a: DiffPoly, grade: Grade | None = None):
     Solved exactly over the enumerated monomial bases one grade lower;
     raises DecompositionError when a is not a divergence.
     """
-    from .linsolve import SparseSystem
+    from .linsolve import solve_poly_system
     from .algebra import enumerate_basis
 
     if a.is_zero():
@@ -173,18 +173,9 @@ def divergence_decompose(a: DiffPoly, grade: Grade | None = None):
     if d == 0:
         raise DecompositionError("degree-0 elements are never divergences")
     basis = enumerate_basis(Grade(d - 1, p, w))
-    system = SparseSystem()
-    cols = []
-    for m in basis:
-        cols.append(total_derivative(m.as_poly(), "x"))
-    for m in basis:
-        cols.append(total_derivative(m.as_poly(), "y"))
-    for j, col in enumerate(cols):
-        for key, c in col.terms.items():
-            system.add(key, j, c)
-    for key, c in a.terms.items():
-        system.add_rhs(key, c)
-    sol = system.solve(len(cols))
+    cols = [total_derivative(m.as_poly(), "x") for m in basis]
+    cols += [total_derivative(m.as_poly(), "y") for m in basis]
+    sol = solve_poly_system(cols, a)
     if sol is None:
         raise DecompositionError("element is not a total divergence")
     n = len(basis)

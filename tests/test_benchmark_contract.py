@@ -1,0 +1,50 @@
+"""The benchmark tracer (perfbench/tracer.py) wraps thetacalc functions by
+name; a rename or a changed signature would silently empty its layers.
+This reads perfbench/ and changes nothing there."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracer")
+    sys.modules.pop("tracer", None)
+
+
+def test_traced_functions_resolve(tracer_module):
+    for name, where in tracer_module.FUNCTIONS.items():
+        owner = importlib.import_module(f"thetacalc.{where[0]}")
+        for attr in where[1:]:
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+
+
+def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
+    from thetacalc.cohomology import block_operator
+    from thetacalc.normalizer import build_normal_form, normalize
+    from thetacalc.rationals import QQ
+
+    P = build_normal_form([QQ(2), QQ(-1, 3)], 4)
+    block_operator.cache_clear()  # a warm cache would skip every elimination
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        result = normalize(P)
+    finally:
+        tracer.uninstall()
+        block_operator.cache_clear()
+    assert result.invariant_values() == [2, QQ(-1, 3)]
+    summary = tracer.summary()
+    assert summary["linsolve.eliminate.calls"] > 0
+    assert summary["cohomology.ad_p1_column.calls"] > 0
+    for counter in ("unknowns", "rows", "nnz_in", "nnz_out", "rank", "max_block_unknowns"):
+        assert summary[f"linsolve.{counter}"] > 0, counter
+    assert summary["linsolve.infeasible"] == 0

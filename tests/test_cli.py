@@ -9,15 +9,23 @@ import pytest
 from thetacalc.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "src/thetacalc/schema/normalize-output.schema.json").read_text()
-)
+SCHEMA_DIR = Path(__file__).parent.parent / "src/thetacalc/schema"
+SCHEMA = json.loads((SCHEMA_DIR / "normalize-output.schema.json").read_text())
+ERROR_SCHEMA = json.loads((SCHEMA_DIR / "error-output.schema.json").read_text())
 
 
 def run_json(capsys, argv):
     code = run_cli(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_json_error(capsys, argv):
+    """Run a failing command; its JSON payload must match the error schema."""
+    code, payload = run_json(capsys, argv)
+    assert code != 0
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    return code, payload
 
 
 def test_normalize_example(capsys):
@@ -54,6 +62,24 @@ def test_normalize_fast(capsys):
     assert payload["jacobi"] == "skipped"
 
 
+@pytest.mark.parametrize("command", ["normalize", "check"])
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_order_below_one_is_a_usage_error(capsys, command, order):
+    code, payload = run_json_error(
+        capsys, [command, str(DATA / "example_eg.pb"), "--order", order, "--format", "json"]
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "BracketSpecError"
+    assert "order must be at least 1" in payload["error"]["message"]
+
+
+def test_order_below_one_text_mode(capsys):
+    assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order must be at least 1" in captured.err
+
+
 def test_normalize_respects_order_flag(capsys):
     code, payload = run_json(
         capsys,
@@ -88,7 +114,7 @@ def test_check_violation_exit_code(capsys):
 
 
 def test_normalize_jacobi_violation_exit_code(capsys):
-    code, payload = run_json(
+    code, payload = run_json_error(
         capsys, ["normalize", str(DATA / "nonpoisson.pb"), "--format", "json"]
     )
     assert code == 2
@@ -96,7 +122,7 @@ def test_normalize_jacobi_violation_exit_code(capsys):
 
 
 def test_normalize_obstruction_exit_code(capsys):
-    code, payload = run_json(
+    code, payload = run_json_error(
         capsys, ["normalize", str(DATA / "obstruction.pb"), "--format", "json"]
     )
     assert code == 3
@@ -107,7 +133,7 @@ def test_normalize_obstruction_exit_code(capsys):
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pb"
     bad.write_text("order=2; theta { density[2] = ; }")
-    code, payload = run_json(capsys, ["normalize", str(bad), "--format", "json"])
+    code, payload = run_json_error(capsys, ["normalize", str(bad), "--format", "json"])
     assert code == 1
     assert payload["error"]["type"] == "ParseError"
 
@@ -120,7 +146,7 @@ def test_uncaught_library_error_is_json(capsys, monkeypatch):
         raise InternalInconsistency("boom")
 
     monkeypatch.setattr(cli, "theta_quotient_basis", fail)
-    code, payload = run_json(
+    code, payload = run_json_error(
         capsys, ["cohomology", "--p", "3", "--d", "5", "--format", "json"]
     )
     assert code == 1
@@ -131,6 +157,11 @@ def test_uncaught_library_error_is_json(capsys, monkeypatch):
 def test_missing_file_exit_code(capsys):
     assert run_cli(["normalize", str(DATA / "no_such_file.pb")]) == 1
     capsys.readouterr()
+    code, payload = run_json_error(
+        capsys, ["normalize", str(DATA / "no_such_file.pb"), "--format", "json"]
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "FileNotFoundError"
 
 
 def test_cohomology_table(capsys):

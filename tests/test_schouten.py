@@ -7,7 +7,6 @@ from thetacalc.errors import SuperDegreeError
 from thetacalc.rationals import QQ
 from thetacalc.schouten import (
     BracketSeries,
-    ad,
     jacobi_check,
     miura_apply,
     pst,
@@ -77,19 +76,19 @@ def test_odd_translates_pairwise_compatible():
 def test_x2_generates_the_mixed_term():
     # orientation as fixed by the derivation identity above
     X2 = Functional(half * u(2, 0) * th(0, 0))
-    assert ad(X2, standard_leading_term()) == pst(2, 1).scale(-1)
-    assert ad(X2.scale(-1), standard_leading_term()) == pst(2, 1)
+    assert schouten(X2, standard_leading_term()) == pst(2, 1).scale(-1)
+    assert schouten(X2.scale(-1), standard_leading_term()) == pst(2, 1)
 
 
 def test_x2_shifts_all_mixed_terms():
     X2 = Functional(half * u(2, 0) * th(0, 0))
     for (s, t) in [(3, 0), (2, 1), (5, 0)]:
-        assert ad(X2, pst(s, t)) == pst(s + 2, t).scale(-1)
+        assert schouten(X2, pst(s, t)) == pst(s + 2, t).scale(-1)
 
 
 def test_ad_of_zero():
     X = Functional(u(1, 0) * th(0, 0))
-    assert ad(X, Functional.zero()).is_zero()
+    assert schouten(X, Functional.zero()).is_zero()
 
 
 def test_gradient_field_cocycle():
@@ -97,7 +96,7 @@ def test_gradient_field_cocycle():
     # into the first-order cocycle with coefficients -F'(u) u_y, F'(u) u_x
     F = half * u() * u()  # F = u^2/2, f = F' = u
     X1 = Functional(F * u(1, 0) * th(0, 0))
-    got = ad(X1.scale(-1), standard_leading_term())
+    got = schouten(X1.scale(-1), standard_leading_term())
     expected = Functional(
         half * ((-u() * u(0, 1)) * th(0, 0) * th(1, 0) + (u() * u(1, 0)) * th(0, 0) * th(0, 1))
     )
