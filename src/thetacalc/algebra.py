@@ -423,6 +423,9 @@ def _derivative_multisets(degree: int, max_count: int):
         if deg_left == 0:
             yield ()
             return
+        if count_left == 0:
+            # degree left but no factor left: no later index can help
+            return
         for i in range(pos, len(indices)):
             idx = indices[i]
             step = idx[0] + idx[1]

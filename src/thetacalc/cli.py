@@ -235,15 +235,50 @@ def _cmd_self_test(args) -> int:
     return EXIT_OK if not failures else EXIT_USAGE
 
 
+class _UsageError(Exception):
+    """A command-line usage error, raised in place of argparse's exit."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _UsageError so that run_cli can report it as JSON.
+
+    Subparsers are built from the same class, so this covers them too.
+    """
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _json_requested(argv) -> bool:
+    """Whether argv asks for --format json, read before parsing succeeds.
+
+    Spellings as argparse accepts them: --format=json, and any prefix
+    from --fo on (--f alone is ambiguous with --fast).
+    """
+    for i, arg in enumerate(argv):
+        name, eq, value = arg.partition("=")
+        if len(name) < 4 or not "--format".startswith(name):
+            continue
+        if not eq:
+            value = argv[i + 1] if i + 1 < len(argv) else None
+        if value == "json":
+            return True
+    return False
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="thetacalc",
         description="Normal forms and invariants of dispersive scalar "
         "Poisson brackets in two independent variables.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="text")
 
     p = sub.add_parser("normalize", parents=[common], help="reduce to normal form")
@@ -276,10 +311,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
+    argv = list(argv)
     ap = build_arg_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        if _json_requested(argv):
+            return _error_out("json", EXIT_USAGE, "UsageError", str(exc))
+        # argparse's own text: usage and message on stderr
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit as exc:  # -h/--help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)

@@ -439,11 +439,11 @@ def verify_varder_lemma(d: int) -> bool:
     if d < 1:
         raise ValueError("d must be >= 1")
     cols = [var_theta(b) for b in theta_basis(3, d)]
+    if not cols:
+        return True
+    system = Factorization(cols)
     for i in range(0, (d - 1) // 2 + 1):
-        target = theta_monomial((d - i, i))
-        if not cols:
-            continue
-        if solve_poly_system(cols, target) is not None:
+        if system.solve(theta_monomial((d - i, i))) is not None:
             return False
     return True
 
@@ -485,7 +485,8 @@ def verify_nontriv_lemma(d: int) -> bool:
     quot = theta_quotient_basis(3, d)
     if not quot:
         return True
-    imgs = [Functional(bockstein_split(q)) for q in quot]
+    # int unit monomials keep schouten and the Euler operators on ints
+    imgs = [Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))) for q in quot]
     n = len(imgs)
     brk = {}
     for i in range(n):
@@ -511,11 +512,12 @@ def verify_nontriv_lemma(d: int) -> bool:
             for key in (
                 set(f11[slot].terms) | set(f12[slot].terms) | set(f22[slot].terms)
             ):
+                # QQ, because _poly_gcd divides and ints would give floats
                 polys.append(
                     [
-                        f22[slot].coefficient(key),
-                        2 * f12[slot].coefficient(key),
-                        f11[slot].coefficient(key),
+                        QQ(f22[slot].coefficient(key)),
+                        QQ(2 * f12[slot].coefficient(key)),
+                        QQ(f11[slot].coefficient(key)),
                     ]
                 )
         g = []

@@ -8,54 +8,71 @@ densities of super degree one or two the theta-derivative alone decides
 (the u-derivative of a divergence vanishes automatically once the
 theta-derivative does); this shortcut carries most of the solver load
 and is cross-checked against the full test in the suite.
+
+The Euler operators sum (-D)^k over the partial derivatives by Horner's
+rule, one sweep over the y-order and one over the x-order.  Each sweep
+folds the sign into the partials, B_k = D B_(k+1) + (-1)^k f_k, instead
+of negating the whole accumulator at every step, adds the partials in
+place and skips D while the accumulator is zero.
 """
 
 from __future__ import annotations
 
-from .algebra import DiffPoly, Grade, grade_of, partial_derivative, total_derivative
+from .algebra import (
+    DiffPoly,
+    Grade,
+    _accumulate,
+    grade_of,
+    partial_derivative,
+    total_derivative,
+)
 from .errors import DecompositionError
 
 
 def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
     """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t).
 
-    Evaluated as a nested Horner sweep so every intermediate stays
-    merged: over t first for each fixed s, then over s.
+    The partials are grouped by s and summed by two sign-folded Horner
+    sweeps (see _signed_horner): over t with dy for each s, then over s
+    with dx.
     """
-    # collect partials grouped by index
-    partials = {}
+    indices = set()
     for upow, ufs, ths in f.terms:
         if kind == "u":
             if upow:
-                partials.setdefault((0, 0), None)
-            for idx, _ in ufs:
-                partials.setdefault(idx, None)
+                indices.add((0, 0))
+            indices.update(idx for idx, _ in ufs)
         else:
-            for idx in ths:
-                partials.setdefault(idx, None)
-    if not partials:
+            indices.update(ths)
+    if not indices:
         return DiffPoly.zero()
-    for idx in partials:
-        partials[idx] = partial_derivative(f, kind, idx[0], idx[1])
-    smax = max(s for s, _ in partials)
-    by_s = []
-    for s in range(smax + 1):
-        col = {t: g for (si, t), g in partials.items() if si == s}
-        if not col:
-            by_s.append(DiffPoly.zero())
-            continue
-        tmax = max(col)
-        acc = DiffPoly.zero()
-        for t in range(tmax, -1, -1):
-            acc = -total_derivative(acc, "y")
-            if t in col:
-                acc = acc + col[t]
-        by_s.append(acc)
-    acc = DiffPoly.zero()
-    for s in range(smax, -1, -1):
-        acc = -total_derivative(acc, "x")
-        acc = acc + by_s[s]
-    return acc
+    by_s = {}
+    for s, t in indices:
+        by_s.setdefault(s, {})[t] = partial_derivative(f, kind, s, t)
+    return _signed_horner(
+        {s: _signed_horner(col, "y") for s, col in by_s.items()}, "x"
+    )
+
+
+def _signed_horner(parts: dict, axis: str) -> DiffPoly:
+    """sum over k of (-D)^k parts[k], with D the total derivative along axis.
+
+    Horner's rule with the signs folded into the parts: B_k = D B_(k+1)
+    + (-1)^k parts[k], and the sum is B_0.  D is skipped while the
+    accumulator is zero, and each part is added into the accumulator in
+    place instead of through a negated copy.
+    """
+    acc = {}
+    for k in range(max(parts), -1, -1):
+        if acc:
+            # the result dict is fresh, so it can be updated in place
+            acc = total_derivative(DiffPoly(acc), axis).terms
+        part = parts.get(k)
+        if part is not None:
+            odd = k & 1
+            for key, c in part.terms.items():
+                _accumulate(acc, key, -c if odd else c)
+    return DiffPoly(acc)
 
 
 def var_u(f) -> DiffPoly:

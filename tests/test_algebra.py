@@ -1,3 +1,6 @@
+import sys
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,3 +262,91 @@ def test_basis_deterministic():
     a = [m.key for m in enumerate_basis(Grade(4, 2, 2))]
     b = [m.key for m in enumerate_basis(Grade(4, 2, 2))]
     assert a == b and a == sorted(a)
+
+
+def _indices(dmax, lowest=0):
+    return [(s, d - s) for d in range(lowest, dmax + 1) for s in range(d + 1)]
+
+
+def _brute_force_basis(dmax, pmax, wmax):
+    """Every (d, p, w) basis up to the bounds, by filtering all products.
+
+    Theta parts are all index sets of size <= pmax, u-derivative parts
+    all index multisets of size <= wmax, both of degree <= dmax; the
+    underived u fills the remaining weight.
+    """
+
+    def deg(idxs):
+        return sum(s + t for s, t in idxs)
+
+    thetas = [
+        tuple(sorted(c, reverse=True))
+        for p in range(pmax + 1)
+        for c in combinations(_indices(dmax), p)
+        if deg(c) <= dmax
+    ]
+    ufactors = []
+    for n in range(wmax + 1):
+        for c in combinations_with_replacement(_indices(dmax, lowest=1), n):
+            if deg(c) <= dmax:
+                ufactors.append(tuple(sorted((i, c.count(i)) for i in set(c))))
+    bases = {}
+    for ths in thetas:
+        for ufs in ufactors:
+            d = deg(ths) + sum((s + t) * e for (s, t), e in ufs)
+            nfac = sum(e for _, e in ufs)
+            for w in range(nfac, wmax + 1):
+                bases.setdefault(Grade(d, len(ths), w), set()).add((w - nfac, ufs, ths))
+    return bases
+
+
+def test_basis_matches_brute_force():
+    dmax, pmax, wmax = 7, 3, 4
+    oracle = _brute_force_basis(dmax, pmax, wmax)
+    for d in range(dmax + 1):
+        for p in range(pmax + 1):
+            for w in range(wmax + 1):
+                keys = [m.key for m in enumerate_basis(Grade(d, p, w))]
+                assert keys == sorted(oracle.get(Grade(d, p, w), ())), (d, p, w)
+
+
+def test_basis_of_long_generator_grades():
+    # one u-derivative factor: exactly the u^(s,50-s)
+    keys = [m.key for m in enumerate_basis(Grade(50, 0, 1))]
+    assert keys == [(0, (((s, 50 - s), 1),), ()) for s in range(51)]
+    # two factors: u times one derivative, or a pair of derivatives
+    idx = _indices(29, lowest=1)
+    pairs = {
+        tuple(sorted({a: 1, b: 1}.items())) if a != b else ((a, 2),)
+        for a, b in combinations_with_replacement(idx, 2)
+        if sum(a) + sum(b) == 30
+    }
+    want = {(1, (((s, 30 - s), 1),), ()) for s in range(31)}
+    want |= {(0, ufs, ()) for ufs in pairs}
+    keys = [m.key for m in enumerate_basis(Grade(30, 0, 2))]
+    assert len(keys) == len(want) and set(keys) == want
+
+
+def test_basis_enumeration_does_no_dead_search():
+    # Lines run inside the algebra module while listing the 51 monomials
+    # of Grade(50, 0, 1): a search that keeps scanning indices once no
+    # factor is left runs millions; enumerating them directly, a few
+    # tens of thousands.
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != enumerate_basis.__code__.co_filename:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        basis = enumerate_basis(Grade(50, 0, 1))
+    finally:
+        sys.settrace(previous)
+    assert len(basis) == 51
+    assert lines < 200_000, lines

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from thetacalc.algebra import DiffPoly
 from thetacalc.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +73,31 @@ def test_order_below_one_is_a_usage_error(capsys, command, order):
     assert code == 1
     assert payload["error"]["type"] == "BracketSpecError"
     assert "order must be at least 1" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format=json"], ["--form", "json"]])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--order", "abc"], "argument --order: invalid int value: 'abc'"),
+    ],
+)
+def test_argparse_errors_are_json(capsys, argv, message, fmt):
+    code, payload = run_json_error(
+        capsys, ["normalize", str(DATA / "example_eg.pb"), *argv, *fmt]
+    )
+    assert code == 1
+    assert payload["error"] == {"type": "UsageError", "message": message}
+    assert capsys.readouterr().err == ""
+
+
+def test_argparse_errors_text_mode(capsys):
+    assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: thetacalc normalize")
+    assert "thetacalc normalize: error: argument --order: invalid int value" in captured.err
 
 
 def test_order_below_one_text_mode(capsys):
@@ -196,10 +223,14 @@ def test_emit_miura_text(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child does not see pytest's pythonpath, so it gets src explicitly
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "thetacalc.cli", "normalize", str(DATA / "p1.pb"), "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -217,3 +248,28 @@ def test_generators_parse_back(capsys):
     for g in payload["generators"]:
         poly = _Parser(g).parse_expr()
         assert poly is not None
+
+
+def test_worked_example_order_51_both_encodings(tmp_path, capsys):
+    # c_k = (-1)^(k+1) for the first 25 invariants, whichever way the
+    # example is written
+    from thetacalc.deltaform import DeltaForm
+    from thetacalc.parser import BracketSpecFile
+    from thetacalc.printer import format_bracket_file
+
+    one = DiffPoly.one()
+    delta = BracketSpecFile(
+        51, "delta", delta=DeltaForm({(0, 0, 1): one, (2, 3, 0): one, (2, 2, 1): one})
+    )
+    densities = {d: F.density for d, F in delta.to_series().components.items()}
+    payloads = []
+    for spec in (delta, BracketSpecFile(51, "theta", densities=densities)):
+        path = tmp_path / f"example_{spec.kind}.pb"
+        path.write_text(format_bracket_file(spec))
+        code, payload = run_json(capsys, ["normalize", str(path), "--order", "51", "--format", "json"])
+        assert code == 0
+        jsonschema.validate(payload, SCHEMA)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["invariants"] == [{"k": k, "c": str((-1) ** (k + 1))} for k in range(1, 26)]
+    assert len(payloads[0]["generators"]) == 51

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_euler import reference_euler
 
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
 from thetacalc.errors import DecompositionError
@@ -65,6 +66,44 @@ def test_var_theta_exact_density():
 
 def test_var_theta_single_term():
     assert var_theta(u() * th(0, 0)) == u()
+
+
+INDEX = st.tuples(st.integers(0, 6), st.integers(0, 6))
+KEY = st.tuples(
+    st.integers(0, 1),
+    st.dictionaries(INDEX.filter(lambda i: i != (0, 0)), st.integers(1, 2), max_size=2),
+    st.sets(INDEX, max_size=2),
+).filter(lambda k: k[0] + sum(k[1].values()) + len(k[2]) <= 4)  # bounds the D^12 blow-up
+
+
+@st.composite
+def mixed_poly(draw):
+    """Inhomogeneous polynomial with int and QQ coefficients.
+
+    Keys are built directly, so u and theta factors reach order 6 in
+    both x and y, beyond what the enumerated bases of small_poly give.
+    """
+    coeff = st.one_of(
+        st.integers(-5, 5).filter(bool),
+        st.builds(QQ, st.integers(-7, 7).filter(bool), st.integers(2, 5)),
+    )
+    terms = {}
+    for upow, ufs, ths in draw(st.lists(KEY, min_size=1, max_size=5)):
+        key = (upow, tuple(sorted(ufs.items())), tuple(sorted(ths, reverse=True)))
+        terms[key] = draw(coeff)
+    return DiffPoly(terms)
+
+
+def _typed(poly):
+    return {k: (c, type(c)) for k, c in poly.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_poly())
+def test_euler_operators_match_two_loop_reference(f):
+    # equal terms and equal coefficient types: int inputs stay int
+    assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
+    assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
 
 
 @settings(max_examples=60)
