@@ -22,7 +22,7 @@ multiplicity).  Total derivatives raise d by one and preserve p and w.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .rationals import QQ, ZERO, rat
 
@@ -31,9 +31,6 @@ class Grade(NamedTuple):
     d: int  # standard degree
     p: int  # super degree
     w: int  # u-weight
-
-    def __add__(self, other):
-        return Grade(self.d + other.d, self.p + other.p, self.w + other.w)
 
 
 class Monomial(NamedTuple):
@@ -155,13 +152,6 @@ class DiffPoly:
     def theta(cls, s: int = 0, t: int = 0) -> "DiffPoly":
         return cls({(0, (), ((s, t),)): QQ(1)})
 
-    @classmethod
-    def from_monomials(cls, monomials) -> "DiffPoly":
-        acc = {}
-        for m in monomials:
-            _accumulate(acc, m.key, QQ(m.coeff))
-        return cls(acc)
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -173,11 +163,6 @@ class DiffPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def monomials(self) -> Iterator[Monomial]:
-        for key in sorted(self._terms):
-            upow, ufs, ths = key
-            yield Monomial(self._terms[key], upow, ufs, ths)
 
     def coefficient(self, key):
         return self._terms.get(key, ZERO)
@@ -262,11 +247,6 @@ class DiffPoly:
         if len(ds) == 1:
             return ds.pop()
         return None if ds else 0
-
-    def super_component(self, p: int) -> "DiffPoly":
-        return DiffPoly(
-            {k: c for k, c in self._terms.items() if len(k[2]) == p}
-        )
 
     def weight_components(self) -> dict:
         out = {}
@@ -489,5 +469,19 @@ def _theta_sets_all(max_degree: int, count: int):
         yield from _theta_sets(deg, count)
 
 
-def basis_dimension(g: Grade) -> int:
-    return len(enumerate_basis(g))
+def random_element(rng) -> DiffPoly:
+    """A random homogeneous element for randomized identity checks.
+
+    Draws a nonempty grade with d <= 5, p <= 3 and w <= 3, then sums two
+    basis monomials with coefficients in -3..3 (so the sum may be zero).
+    rng is a random.Random; the sequence of draws is fixed.
+    """
+    while True:
+        d, p, w = rng.randint(0, 5), rng.randint(0, 3), rng.randint(0, 3)
+        basis = enumerate_basis(Grade(d, p, w))
+        if basis:
+            break
+    out = DiffPoly.zero()
+    for _ in range(2):
+        out = out + rng.choice(basis).as_poly().scale(QQ(rng.randint(-3, 3)))
+    return out

@@ -19,11 +19,7 @@ from .cohomology import (
 )
 from .errors import (
     BracketSpecError,
-    InternalInconsistency,
     JacobiViolation,
-    MissingComponent,
-    NonconstantInvariant,
-    NonstandardLeadingTerm,
     ObstructionNonzeroBockstein,
     ThetaCalcError,
 )
@@ -31,7 +27,7 @@ from .normalizer import invariants_fast, normalize
 from .parser import parse
 from .printer import format_poly
 from .rationals import rat_str
-from .schouten import BracketSeries, jacobi_check
+from .schouten import jacobi_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,14 +39,8 @@ def _load_series(path: str, order):
     if order is not None and order < 1:
         raise BracketSpecError(f"--order must be at least 1, got {order}")
     with open(path, "r", encoding="utf-8") as fh:
-        spec = parse(fh.read())
-    series = spec.to_series()
-    if order is not None:
-        series = BracketSeries(
-            order,
-            {d: F for d, F in series.components.items() if d <= order + 1},
-        )
-    return series
+        series = parse(fh.read()).to_series()
+    return series if order is None else series.truncate(order)
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -73,92 +63,38 @@ def _error_out(fmt: str, code: int, kind: str, message: str, extra=None) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    fmt = args.format
-    try:
-        series = _load_series(args.file, args.order)
-    except (OSError, BracketSpecError) as exc:
-        return _error_out(fmt, EXIT_USAGE, type(exc).__name__, str(exc))
-    try:
-        if args.fast:
-            c1, c2 = invariants_fast(series)
-            payload = {
-                "order": series.order,
-                "invariants": [
-                    {"k": 1, "c": rat_str(c1)},
-                    {"k": 2, "c": rat_str(c2)},
-                ],
-                "generators": [],
-                "obstruction": None,
-                "jacobi": "skipped",
-            }
-            lines = [
-                f"order: {series.order}",
-                "jacobi: skipped (fast path)",
-                f"c_1 = {rat_str(c1)}",
-                f"c_2 = {rat_str(c2)}",
-            ]
-            _emit(payload, fmt, lines)
-            return EXIT_OK
+    series = _load_series(args.file, args.order)
+    if args.fast:
+        order, jacobi, generators = series.order, "skipped", []
+        invariants = list(enumerate(invariants_fast(series), start=1))
+        lines = [f"order: {order}", "jacobi: skipped (fast path)"]
+        lines += [f"c_{k} = {rat_str(c)}" for k, c in invariants]
+    else:
         result = normalize(series)
-    except JacobiViolation as exc:
-        return _error_out(
-            fmt,
-            EXIT_JACOBI,
-            "JacobiViolation",
-            str(exc),
-            {"jacobi": {"violation_degree": exc.order}},
-        )
-    except ObstructionNonzeroBockstein as exc:
-        return _error_out(
-            fmt,
-            EXIT_OBSTRUCTION,
-            "ObstructionNonzeroBockstein",
-            str(exc),
-            {"obstruction": {"degree": exc.degree, "chi": format_poly(exc.chi)}},
-        )
-    except (
-        NonstandardLeadingTerm,
-        NonconstantInvariant,
-        MissingComponent,
-        InternalInconsistency,
-    ) as exc:
-        return _error_out(fmt, EXIT_USAGE, type(exc).__name__, str(exc))
+        order, jacobi, invariants = result.order, "ok", result.invariants
+        generators = [format_poly(g.density) for g in result.generators]
+        lines = [f"order: {order}", "jacobi: ok", "invariants:"]
+        lines += [f"  c_{k} = {rat_str(c)}" for k, c in invariants]
+        if args.emit_miura:
+            lines.append("generators (densities of the applied vector fields):")
+            lines += [f"  X_{i} = {g}" for i, g in enumerate(generators, start=1)]
     payload = {
-        "order": result.order,
-        "invariants": [
-            {"k": k, "c": rat_str(c)} for k, c in result.invariants
-        ],
-        "generators": [format_poly(g.density) for g in result.generators],
+        "order": order,
+        "invariants": [{"k": k, "c": rat_str(c)} for k, c in invariants],
+        "generators": generators,
         "obstruction": None,
-        "jacobi": "ok",
+        "jacobi": jacobi,
     }
-    lines = [f"order: {result.order}", "jacobi: ok", "invariants:"]
-    for k, c in result.invariants:
-        lines.append(f"  c_{k} = {rat_str(c)}")
-    if args.emit_miura:
-        lines.append("generators (densities of the applied vector fields):")
-        for i, g in enumerate(result.generators, start=1):
-            lines.append(f"  X_{i} = {format_poly(g.density)}")
-    _emit(payload, fmt, lines)
+    _emit(payload, args.format, lines)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    fmt = args.format
-    try:
-        series = _load_series(args.file, args.order)
-    except (OSError, BracketSpecError) as exc:
-        return _error_out(fmt, EXIT_USAGE, type(exc).__name__, str(exc))
-    verdict = jacobi_check(series)
-    if verdict == "ok":
-        _emit({"jacobi": "ok"}, fmt, ["jacobi: ok"])
-        return EXIT_OK
-    _emit(
-        {"jacobi": {"violation_degree": verdict}},
-        fmt,
-        [f"jacobi: violated at degree {verdict}"],
-    )
-    return EXIT_JACOBI
+    verdict = jacobi_check(_load_series(args.file, args.order))
+    if verdict != "ok":
+        raise JacobiViolation(verdict)
+    _emit({"jacobi": "ok"}, args.format, ["jacobi: ok"])
+    return EXIT_OK
 
 
 def _cmd_cohomology(args) -> int:
@@ -201,32 +137,20 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_self_test(args) -> int:
     import random
 
-    from .algebra import DiffPoly, Grade, enumerate_basis
+    from .algebra import random_element
     from .cohomology import delta as delta_op
-    from .rationals import QQ
     from .schouten import schouten, standard_leading_term
     from .variational import Functional
 
     rng = random.Random(args.seed)
-
-    def sample(d, p, w, terms=2):
-        basis = enumerate_basis(Grade(d, p, w))
-        out = DiffPoly.zero()
-        for _ in range(terms):
-            if not basis:
-                break
-            out = out + rng.choice(basis).as_poly().scale(QQ(rng.randint(-3, 3)))
-        return out
-
     failures = []
     p1 = standard_leading_term()
     for trial in range(args.trials):
-        P = Functional(sample(rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3)))
-        Q = Functional(sample(rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3)))
+        P, Q = Functional(random_element(rng)), Functional(random_element(rng))
         p, q = P.super_degree(), Q.super_degree()
         if not schouten(P, Q) == schouten(Q, P).scale((-1) ** (p * q)):
             failures.append(f"graded symmetry, trial {trial}")
-        f = sample(rng.randint(0, 3), rng.randint(0, 2), rng.randint(1, 3), 1)
+        f = random_element(rng)
         if not schouten(p1, Functional(f)) == Functional(delta_op(f)):
             failures.append(f"leading-term derivation identity, trial {trial}")
     for line in failures:
@@ -324,10 +248,17 @@ def run_cli(argv) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # -h/--help
         return EXIT_USAGE if exc.code else EXIT_OK
+    # the one place where a failure becomes an exit code and a payload
     try:
         return args.func(args)
-    except ThetaCalcError as exc:
-        return _error_out(args.format, EXIT_USAGE, type(exc).__name__, str(exc))
+    except (OSError, ThetaCalcError) as exc:
+        code, detail = EXIT_USAGE, None
+        if isinstance(exc, JacobiViolation):
+            code, detail = EXIT_JACOBI, {"jacobi": {"violation_degree": exc.order}}
+        elif isinstance(exc, ObstructionNonzeroBockstein):
+            obstruction = {"degree": exc.degree, "chi": format_poly(exc.chi)}
+            code, detail = EXIT_OBSTRUCTION, {"obstruction": obstruction}
+        return _error_out(args.format, code, type(exc).__name__, str(exc), detail)
 
 
 def main() -> None:

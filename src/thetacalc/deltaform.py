@@ -21,6 +21,21 @@ from .schouten import BracketSeries
 from .variational import Functional
 
 
+def check_coefficient(k: int, k1: int, k2: int, poly: DiffPoly) -> None:
+    """Raise DegreeMismatch unless poly may stand at A[k; k1,k2].
+
+    The indices satisfy k1 + k2 <= k + 1, and the coefficient is
+    theta-free and homogeneous of degree k - k1 - k2 + 1.
+    """
+    if k < 0 or k1 < 0 or k2 < 0 or k1 + k2 > k + 1:
+        raise DegreeMismatch(f"A[{k};{k1},{k2}]: indices violate k1+k2 <= k+1")
+    if not poly.is_theta_free():
+        raise DegreeMismatch(f"A[{k};{k1},{k2}]: coefficient must be theta-free")
+    want = k - k1 - k2 + 1
+    if poly.standard_degree() != want:
+        raise DegreeMismatch(f"A[{k};{k1},{k2}]: degree must be {want}")
+
+
 @dataclass
 class DeltaForm:
     """Operator-form coefficients keyed by (k, k1, k2)."""
@@ -29,23 +44,10 @@ class DeltaForm:
 
     def __post_init__(self):
         clean = {}
-        for (k, k1, k2), poly in self.coefficients.items():
-            if poly.is_zero():
-                continue
-            if k < 0 or k1 < 0 or k2 < 0 or k1 + k2 > k + 1:
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: indices violate k1+k2 <= k+1"
-                )
-            if not poly.is_theta_free():
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: coefficient must be theta-free"
-                )
-            want = k - k1 - k2 + 1
-            if poly.standard_degree() != want:
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: degree must be {want}"
-                )
-            clean[(k, k1, k2)] = poly
+        for key, poly in self.coefficients.items():
+            if not poly.is_zero():
+                check_coefficient(*key, poly)
+                clean[key] = poly
         self.coefficients = clean
 
     @property
@@ -58,9 +60,6 @@ class DeltaForm:
 
     def coefficient(self, k: int, k1: int, k2: int) -> DiffPoly:
         return self.coefficients.get((k, k1, k2), DiffPoly.zero())
-
-    def max_order(self) -> int:
-        return max((k for k, _, _ in self.coefficients), default=0)
 
 
 def delta_to_theta(D: DeltaForm, order: int) -> BracketSeries:

@@ -74,26 +74,26 @@ def _replace_component(P: BracketSeries, d: int, F: Functional) -> BracketSeries
     return BracketSeries(P.order, comps)
 
 
-def normalize(
-    P: BracketSeries, order: int | None = None, check_jacobi: bool = True
-) -> NormalizationResult:
+def _require_standard_leading(P: BracketSeries) -> None:
+    if not P.component(1) == standard_leading_term():
+        raise NonstandardLeadingTerm(
+            "degree-1 component must be the standard leading bivector"
+        )
+
+
+def normalize(P: BracketSeries, order: int | None = None) -> NormalizationResult:
     """Reduce a bracket with standard leading term to its normal form.
 
-    check_jacobi runs the full closure test up front (the stated
-    precondition); callers whose inputs are Poisson by construction may
-    skip it, the per-degree cocycle traps still fire on bad input.
+    The full Jacobi check of the truncated input always runs first and
+    raises JacobiViolation; the per-degree cocycle traps stay in place.
     """
     if order is None:
         order = P.order
     cur = P.truncate(order)
-    if not cur.component(1) == standard_leading_term():
-        raise NonstandardLeadingTerm(
-            "degree-1 component must be the standard leading bivector"
-        )
-    if check_jacobi:
-        verdict = jacobi_check(cur, order)
-        if verdict != "ok":
-            raise JacobiViolation(verdict)
+    _require_standard_leading(cur)
+    verdict = jacobi_check(cur, order)
+    if verdict != "ok":
+        raise JacobiViolation(verdict)
 
     invariants = []
     generators = []
@@ -136,10 +136,7 @@ def invariants_fast(P: BracketSeries):
     Requires the standard leading term and components through degree
     five (a truncation order of at least four).
     """
-    if not P.component(1) == standard_leading_term():
-        raise NonstandardLeadingTerm(
-            "degree-1 component must be the standard leading bivector"
-        )
+    _require_standard_leading(P)
     if P.order < 4:
         raise MissingComponent(5)
     low = BracketSeries(

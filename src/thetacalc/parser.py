@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DiffPoly
-from .deltaform import DeltaForm, delta_to_theta
+from .deltaform import DeltaForm, check_coefficient, delta_to_theta
 from .errors import DegreeMismatch, OddPower, ParseError
 from .schouten import BracketSeries
 from .variational import Functional
@@ -255,23 +255,10 @@ class _Parser:
                 )
             if poly.is_zero():
                 continue
-            if k1 + k2 > k + 1:
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: need k1+k2 <= k+1", atok.line, atok.col
-                )
-            if not poly.is_theta_free():
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: coefficient must be theta-free",
-                    atok.line,
-                    atok.col,
-                )
-            want = k - k1 - k2 + 1
-            if poly.standard_degree() != want:
-                raise DegreeMismatch(
-                    f"A[{k};{k1},{k2}]: coefficient degree must be {want}",
-                    atok.line,
-                    atok.col,
-                )
+            try:
+                check_coefficient(k, k1, k2, poly)
+            except DegreeMismatch as exc:
+                raise DegreeMismatch(str(exc), atok.line, atok.col) from None
             coefficients[(k, k1, k2)] = poly
         self.expect("}")
         return BracketSpecFile(order, "delta", delta=DeltaForm(coefficients))

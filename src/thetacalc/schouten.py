@@ -121,10 +121,6 @@ class BracketSeries:
         return True
 
 
-def is_standard_leading(P: BracketSeries) -> bool:
-    return P.component(1) == standard_leading_term()
-
-
 def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> BracketSeries:
     """Exponential of the adjoint action, truncated by standard degree.
 

@@ -90,24 +90,18 @@ def _density(f) -> DiffPoly:
 
 
 def is_total_divergence(a: DiffPoly) -> bool:
-    """Exact membership test for im dx + im dy."""
+    """Exact membership test for im dx + im dy.
+
+    Both variational derivatives vanish and there is no constant term;
+    in super degrees one and two the theta-derivative alone decides.
+    """
     if a.is_zero():
         return True
     if a.constant_term() != 0:
         return False
-    return var_theta(a).is_zero() and var_u(a).is_zero()
-
-
-def _vanishes_in_quotient(a: DiffPoly) -> bool:
-    """is_total_divergence with the super-degree shortcut."""
-    if a.is_zero():
-        return True
-    if a.constant_term() != 0:
+    if not var_theta(a).is_zero():
         return False
-    ps = {len(ths) for (_, _, ths) in a.terms}
-    if ps <= {1, 2}:
-        return var_theta(a).is_zero()
-    return var_theta(a).is_zero() and var_u(a).is_zero()
+    return {len(ths) for (_, _, ths) in a.terms} <= {1, 2} or var_u(a).is_zero()
 
 
 class Functional:
@@ -132,12 +126,12 @@ class Functional:
         return self.density.super_degree()
 
     def is_zero(self) -> bool:
-        return _vanishes_in_quotient(self.density)
+        return is_total_divergence(self.density)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Functional):
             return NotImplemented
-        return _vanishes_in_quotient(self.density - other.density)
+        return is_total_divergence(self.density - other.density)
 
     def __hash__(self):
         raise TypeError("functionals are not hashable (quotient equality)")

@@ -8,7 +8,7 @@ lines and timings.
 import random
 import time
 
-from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
+from thetacalc.algebra import Grade, enumerate_basis, mul, random_element
 from thetacalc.cohomology import (
     bockstein_split,
     delta,
@@ -149,21 +149,9 @@ def test_criterion_8_distinctness():
 def test_criterion_9_bracket_laws():
     t0 = time.time()
     rng = random.Random(7777)
-
-    def sample():
-        while True:
-            d, p, w = rng.randint(0, 5), rng.randint(0, 3), rng.randint(0, 3)
-            basis = enumerate_basis(Grade(d, p, w))
-            if not basis:
-                continue
-            out = DiffPoly.zero()
-            for _ in range(2):
-                out = out + rng.choice(basis).as_poly().scale(QQ(rng.randint(-3, 3)))
-            return Functional(out)
-
     ok = True
     for _ in range(50):
-        P, Q, R = sample(), sample(), sample()
+        P, Q, R = (Functional(random_element(rng)) for _ in range(3))
         p, q, r = P.super_degree(), Q.super_degree(), R.super_degree()
         sym = schouten(P, Q) == schouten(Q, P).scale((-1) ** (p * q))
         t1 = schouten(schouten(P, Q), R).scale((-1) ** (p * r))

@@ -3,6 +3,9 @@ name; a rename or a changed signature would silently empty its layers.
 This reads perfbench/ and changes nothing there."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,23 @@ def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
     for counter in ("unknowns", "rows", "nnz_in", "nnz_out", "rank", "max_block_unknowns"):
         assert summary[f"linsolve.{counter}"] > 0, counter
     assert summary["linsolve.infeasible"] == 0
+
+
+def test_cli_launcher_traces_one_parse_and_one_normalize(tmp_path):
+    # the traced example_cli path: run_cli under the span wrappers
+    example = PERFBENCH.parent / "tests" / "data" / "example_eg.pb"
+    src = str(PERFBENCH.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "cli_launcher.py"), str(tmp_path / "trace"),
+         "normalize", str(example), "--order", "9", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert [e["c"] for e in payload["invariants"]] == ["1", "-1", "1", "-1"]
+    summary = json.loads((tmp_path / "trace.json").read_text())["summary"]
+    assert summary["parser.parse.calls"] == 1
+    assert summary["normalizer.normalize.calls"] == 1

@@ -133,11 +133,22 @@ def test_check_ok(capsys):
 
 
 def test_check_violation_exit_code(capsys):
-    code, payload = run_json(
+    code, payload = run_json_error(
         capsys, ["check", str(DATA / "nonpoisson.pb"), "--format", "json"]
     )
     assert code == 2
+    assert payload["error"]["type"] == "JacobiViolation"
     assert payload["jacobi"]["violation_degree"] == 4
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_jacobi_violation_text_mode(capsys, command):
+    assert run_cli([command, str(DATA / "nonpoisson.pb")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error (JacobiViolation): bracket fails the Jacobi identity at degree 4\n"
+    )
 
 
 def test_normalize_jacobi_violation_exit_code(capsys):

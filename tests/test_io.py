@@ -57,19 +57,25 @@ def test_parse_comments_and_whitespace():
     assert parse(text).order == 1
 
 
+def delta_entry_error(entry):
+    """The DegreeMismatch of one bad delta entry placed at line 4, col 5."""
+    with pytest.raises(DegreeMismatch) as exc:
+        parse(f"order=3;\ndelta {{\n  A[0;0,1] = 1;\n    {entry}\n}}")
+    # the check lives in DeltaForm; the parser adds the entry's position
+    assert (exc.value.line, exc.value.col) == (4, 5)
+    return str(exc.value)
+
+
 def test_degree_mismatch_reported():
-    with pytest.raises(DegreeMismatch):
-        parse("order=2; delta { A[1;2,0] = u[1,0]; }")  # degree must be 0
+    assert "degree must be 0" in delta_entry_error("A[1;2,0] = u[1,0];")
 
 
 def test_index_constraint_reported():
-    with pytest.raises(DegreeMismatch):
-        parse("order=3; delta { A[1;3,0] = 1; }")  # k1+k2 > k+1
+    assert "k1+k2 <= k+1" in delta_entry_error("A[1;3,0] = 1;")
 
 
 def test_theta_in_coefficient_rejected():
-    with pytest.raises(DegreeMismatch):
-        parse("order=2; delta { A[1;1,0] = th[0,0]*th[1,0]; }")
+    assert "theta-free" in delta_entry_error("A[1;1,0] = th[0,0]*th[1,0];")
 
 
 def test_odd_power_rejected():
