@@ -60,7 +60,6 @@ from .schouten import (
 )
 from .variational import (
     Functional,
-    divergence_decompose,
     is_total_divergence,
     var_theta,
     var_u,

@@ -300,8 +300,35 @@ def mul(a: DiffPoly, b: DiffPoly) -> DiffPoly:
     return DiffPoly(acc)
 
 
+def _ufactor_lower(ufs, i):
+    """ufs with the exponent in slot i lowered by one (dropped at 0)."""
+    idx, e = ufs[i]
+    if e == 1:
+        return ufs[:i] + ufs[i + 1 :]
+    return ufs[:i] + ((idx, e - 1),) + ufs[i + 1 :]
+
+
+def _ufactor_raise(ufs, start, idx):
+    """ufs with the exponent of idx raised by one.
+
+    idx belongs at slot start or later; the tuple stays ascending.
+    """
+    j, n = start, len(ufs)
+    while j < n and ufs[j][0] < idx:
+        j += 1
+    if j < n and ufs[j][0] == idx:
+        return ufs[:j] + ((idx, ufs[j][1] + 1),) + ufs[j + 1 :]
+    return ufs[:j] + ((idx, 1),) + ufs[j:]
+
+
 def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
-    """Total x- or y-derivative: even Leibniz derivation of degree +1."""
+    """Total x- or y-derivative: even Leibniz derivation of degree +1.
+
+    Works on the key tuples directly: a differentiated u-factor moves to
+    a larger index, so its new slot is searched from its old one on.  A
+    coefficient is multiplied only by an exponent above 1 and negated for
+    a sign of -1, never multiplied by 1 or -1.
+    """
     if axis == "x":
         ds, dt = 1, 0
     elif axis == "y":
@@ -311,12 +338,13 @@ def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
     acc = {}
     for (upow, ufs, ths), c in a._terms.items():
         if upow:
-            key = (upow - 1, _ufactors_mul(ufs, (((ds, dt), 1),)), ths)
-            _accumulate(acc, key, c * upow)
-        for (s, t), e in ufs:
-            base = _ufactor_set(ufs, (s, t), e - 1)
-            key = (upow, _ufactors_mul(base, (((s + ds, t + dt), 1),)), ths)
-            _accumulate(acc, key, c * e)
+            key = (upow - 1, _ufactor_raise(ufs, 0, (ds, dt)), ths)
+            _accumulate(acc, key, c if upow == 1 else c * upow)
+        for i, ((s, t), e) in enumerate(ufs):
+            # every factor before slot i sorts below the raised index
+            base = _ufactor_lower(ufs, i)
+            key = (upow, _ufactor_raise(base, i, (s + ds, t + dt)), ths)
+            _accumulate(acc, key, c if e == 1 else c * e)
         for i, (s, t) in enumerate(ths):
             res = _theta_insert((s + ds, t + dt), ths[:i] + ths[i + 1 :])
             if res is None:
@@ -326,7 +354,7 @@ def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
             # raised index re-inserted from the left
             if i & 1:
                 sign = -sign
-            _accumulate(acc, (upow, ufs, new_ths), sign * c)
+            _accumulate(acc, (upow, ufs, new_ths), c if sign > 0 else -c)
     return DiffPoly(acc)
 
 

@@ -208,8 +208,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", parents=[common], help="reduce to normal form")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--emit-miura", action="store_true")
-    p.add_argument("--fast", action="store_true")
+    # the fast path computes no generators, so it has nothing to emit
+    path = p.add_mutually_exclusive_group()
+    path.add_argument("--emit-miura", action="store_true")
+    path.add_argument("--fast", action="store_true")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("check", parents=[common], help="Jacobi identity only")

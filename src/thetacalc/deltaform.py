@@ -21,21 +21,6 @@ from .schouten import BracketSeries
 from .variational import Functional
 
 
-def check_coefficient(k: int, k1: int, k2: int, poly: DiffPoly) -> None:
-    """Raise DegreeMismatch unless poly may stand at A[k; k1,k2].
-
-    The indices satisfy k1 + k2 <= k + 1, and the coefficient is
-    theta-free and homogeneous of degree k - k1 - k2 + 1.
-    """
-    if k < 0 or k1 < 0 or k2 < 0 or k1 + k2 > k + 1:
-        raise DegreeMismatch(f"A[{k};{k1},{k2}]: indices violate k1+k2 <= k+1")
-    if not poly.is_theta_free():
-        raise DegreeMismatch(f"A[{k};{k1},{k2}]: coefficient must be theta-free")
-    want = k - k1 - k2 + 1
-    if poly.standard_degree() != want:
-        raise DegreeMismatch(f"A[{k};{k1},{k2}]: degree must be {want}")
-
-
 @dataclass
 class DeltaForm:
     """Operator-form coefficients keyed by (k, k1, k2)."""
@@ -43,12 +28,26 @@ class DeltaForm:
     coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for key, poly in self.coefficients.items():
-            if not poly.is_zero():
-                check_coefficient(*key, poly)
-                clean[key] = poly
-        self.coefficients = clean
+        given, self.coefficients = self.coefficients, {}
+        for key, poly in given.items():
+            self.set_coefficient(*key, poly)
+
+    def set_coefficient(self, k: int, k1: int, k2: int, poly: DiffPoly) -> None:
+        """Store poly at A[k; k1,k2] (a zero poly is dropped).
+
+        Raises DegreeMismatch unless k1 + k2 <= k + 1 and poly is
+        theta-free and homogeneous of degree k - k1 - k2 + 1.
+        """
+        if poly.is_zero():
+            return
+        if k < 0 or k1 < 0 or k2 < 0 or k1 + k2 > k + 1:
+            raise DegreeMismatch(f"A[{k};{k1},{k2}]: indices violate k1+k2 <= k+1")
+        if not poly.is_theta_free():
+            raise DegreeMismatch(f"A[{k};{k1},{k2}]: coefficient must be theta-free")
+        want = k - k1 - k2 + 1
+        if poly.standard_degree() != want:
+            raise DegreeMismatch(f"A[{k};{k1},{k2}]: degree must be {want}")
+        self.coefficients[(k, k1, k2)] = poly
 
     @property
     def leading(self) -> bool:

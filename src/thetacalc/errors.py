@@ -9,10 +9,6 @@ class SuperDegreeError(ThetaCalcError):
     """Operand is not homogeneous in super degree."""
 
 
-class DecompositionError(ThetaCalcError):
-    """divergence_decompose called on a non-divergence."""
-
-
 class NotACocycle(ThetaCalcError):
     def __init__(self, degree):
         self.degree = degree

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DiffPoly
-from .deltaform import DeltaForm, check_coefficient, delta_to_theta
+from .deltaform import DeltaForm, delta_to_theta
 from .errors import DegreeMismatch, OddPower, ParseError
 from .schouten import BracketSeries
 from .variational import Functional
@@ -228,7 +228,7 @@ class _Parser:
 
     def parse_delta_body(self, order: int) -> BracketSpecFile:
         self.expect("{")
-        coefficients = {}
+        delta = DeltaForm()
         while self.peek().kind != "}":
             atok = self.expect("name")
             if atok.value != "A":
@@ -243,7 +243,7 @@ class _Parser:
             self.expect("=")
             poly = self.parse_expr()
             self.expect(";")
-            if (k, k1, k2) in coefficients:
+            if (k, k1, k2) in delta.coefficients:
                 raise ParseError(
                     f"duplicate entry A[{k};{k1},{k2}]", atok.line, atok.col
                 )
@@ -253,15 +253,12 @@ class _Parser:
                     atok.line,
                     atok.col,
                 )
-            if poly.is_zero():
-                continue
             try:
-                check_coefficient(k, k1, k2, poly)
+                delta.set_coefficient(k, k1, k2, poly)
             except DegreeMismatch as exc:
                 raise DegreeMismatch(str(exc), atok.line, atok.col) from None
-            coefficients[(k, k1, k2)] = poly
         self.expect("}")
-        return BracketSpecFile(order, "delta", delta=DeltaForm(coefficients))
+        return BracketSpecFile(order, "delta", delta=delta)
 
     def parse_theta_body(self, order: int) -> BracketSpecFile:
         self.expect("{")

@@ -13,45 +13,87 @@ The Euler operators sum (-D)^k over the partial derivatives by Horner's
 rule, one sweep over the y-order and one over the x-order.  Each sweep
 folds the sign into the partials, B_k = D B_(k+1) + (-1)^k f_k, instead
 of negating the whole accumulator at every step, adds the partials in
-place and skips D while the accumulator is zero.
+place and skips D while the accumulator is zero.  All partials come
+from one pass over the density.
+
+The operators are linear, so a density whose coefficients are all
+rational (no int among them) is lifted to ints once: it is multiplied by
+the lcm L of its denominators, the sweeps run on Python ints, and each
+output coefficient is divided by L.  Int input runs on ints anyway, and
+mixed int/rational input is not lifted, so that an output coefficient
+fed only by int terms stays an int.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    DiffPoly,
-    Grade,
-    _accumulate,
-    grade_of,
-    partial_derivative,
-    total_derivative,
-)
-from .errors import DecompositionError
+from math import lcm
+
+from .algebra import DiffPoly, _accumulate, _ufactor_lower, grade_of, total_derivative
+from .rationals import QQ
 
 
 def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
     """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t).
 
-    The partials are grouped by s and summed by two sign-folded Horner
-    sweeps (see _signed_horner): over t with dy for each s, then over s
-    with dx.
+    The partials are collected in one pass over f, grouped by s, and
+    summed by two sign-folded Horner sweeps (see _signed_horner): over t
+    with dy for each s, then over s with dx.  When every coefficient of
+    f is rational (none is an int), f is first multiplied by the lcm L
+    of its denominators, the sweeps run on ints, and each coefficient of
+    the result is divided by L once; int or mixed input is not lifted,
+    so its coefficient types come out as the sweeps leave them.
     """
-    indices = set()
-    for upow, ufs, ths in f.terms:
-        if kind == "u":
-            if upow:
-                indices.add((0, 0))
-            indices.update(idx for idx, _ in ufs)
-        else:
-            indices.update(ths)
-    if not indices:
+    terms = f.terms
+    L = _denominator_lcm(terms.values())
+    if L is not None:
+        terms = {k: c.numerator * (L // c.denominator) for k, c in terms.items()}
+    by_s = _partials(terms, kind)
+    if not by_s:
         return DiffPoly.zero()
-    by_s = {}
-    for s, t in indices:
-        by_s.setdefault(s, {})[t] = partial_derivative(f, kind, s, t)
-    return _signed_horner(
+    out = _signed_horner(
         {s: _signed_horner(col, "y") for s, col in by_s.items()}, "x"
     )
+    if L is None:
+        return out
+    return DiffPoly({k: QQ(v, L) for k, v in out.terms.items()})
+
+
+def _denominator_lcm(coefficients):
+    """lcm of the denominators, or None when some coefficient is an int."""
+    dens = set()
+    for c in coefficients:
+        if type(c) is int:
+            return None
+        dens.add(c.denominator)
+    return lcm(*dens) if dens else None
+
+
+def _partials(terms: dict, kind: str) -> dict:
+    """Every partial d/d<kind>^(s,t) that terms has, as {s: {t: DiffPoly}}.
+
+    One pass files each term under each partial it has; the terms of a
+    partial come in the order of terms, as partial_derivative gives them.
+    kind 'u' takes (0,0) as d/du, kind 'theta' is the left derivative.
+    """
+    acc = {}
+    for (upow, ufs, ths), c in terms.items():
+        if kind == "u":
+            if upow:
+                part = acc.setdefault((0, 0), {})
+                _accumulate(part, (upow - 1, ufs, ths), c if upow == 1 else c * upow)
+            for i, (idx, e) in enumerate(ufs):
+                part = acc.setdefault(idx, {})
+                key = (upow, _ufactor_lower(ufs, i), ths)
+                _accumulate(part, key, c if e == 1 else c * e)
+        else:
+            for i, idx in enumerate(ths):
+                part = acc.setdefault(idx, {})
+                key = (upow, ufs, ths[:i] + ths[i + 1 :])
+                _accumulate(part, key, -c if i & 1 else c)
+    by_s = {}
+    for (s, t), part in acc.items():
+        by_s.setdefault(s, {})[t] = DiffPoly(part)
+    return by_s
 
 
 def _signed_horner(parts: dict, axis: str) -> DiffPoly:
@@ -152,49 +194,3 @@ class Functional:
         from .printer import format_poly
 
         return f"Functional({format_poly(self.density)!r})"
-
-
-def divergence_decompose(a: DiffPoly, grade: Grade | None = None):
-    """Explicit witnesses (bx, by) with a = dx(bx) + dy(by).
-
-    Solved exactly over the enumerated monomial bases one grade lower;
-    raises DecompositionError when a is not a divergence.
-    """
-    from .linsolve import solve_poly_system
-    from .algebra import enumerate_basis
-
-    if a.is_zero():
-        return DiffPoly.zero(), DiffPoly.zero()
-    if grade is None:
-        grade = grade_of(a)
-    if grade is None:
-        # handle each homogeneous piece separately
-        bx_total, by_total = DiffPoly.zero(), DiffPoly.zero()
-        pieces = {}
-        for key, c in a.terms.items():
-            from .algebra import _key_grade
-
-            pieces.setdefault(_key_grade(key), {})[key] = c
-        for g, terms in sorted(pieces.items()):
-            bx, by = divergence_decompose(DiffPoly(terms), g)
-            bx_total, by_total = bx_total + bx, by_total + by
-        return bx_total, by_total
-
-    d, p, w = grade
-    if d == 0:
-        raise DecompositionError("degree-0 elements are never divergences")
-    basis = enumerate_basis(Grade(d - 1, p, w))
-    cols = [total_derivative(m.as_poly(), "x") for m in basis]
-    cols += [total_derivative(m.as_poly(), "y") for m in basis]
-    sol = solve_poly_system(cols, a)
-    if sol is None:
-        raise DecompositionError("element is not a total divergence")
-    n = len(basis)
-    bx = DiffPoly.zero()
-    by = DiffPoly.zero()
-    for j, m in enumerate(basis):
-        if sol[j]:
-            bx = bx + m.as_poly().scale(sol[j])
-        if sol[n + j]:
-            by = by + m.as_poly().scale(sol[n + j])
-    return bx, by

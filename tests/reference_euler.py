@@ -1,17 +1,53 @@
-"""Reference Euler operator, for tests only.
+"""Reference Euler operator and total derivative, for tests only.
 
-The two-loop Horner evaluation of
+reference_total_derivative is the dict-and-sort total derivative that
+thetacalc.algebra replaced by its tuple-native one: every differentiated
+u-factor goes through a dict of exponents and a sorted rebuild, and every
+coefficient is multiplied by its exponent or sign.
+
+reference_euler is the two-loop Horner evaluation of
 
     sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t)
 
 that thetacalc.variational replaced by its sign-folded sweep: for each s
 the accumulator is differentiated and negated, acc = -dy(acc) + f_(s,t),
 running t downwards, and the per-s sums are then combined the same way
-with dx.  Every step goes through the public DiffPoly operations, so it
-shares no code with the production sweep beyond the algebra itself.
+with dx.  It takes one partial_derivative per index, differentiates with
+reference_total_derivative and never lifts to ints, so it shares no code
+with the production sweep beyond DiffPoly and partial_derivative.
 """
 
-from thetacalc.algebra import DiffPoly, partial_derivative, total_derivative
+from thetacalc.algebra import (
+    DiffPoly,
+    _accumulate,
+    _theta_insert,
+    _ufactor_set,
+    _ufactors_mul,
+    partial_derivative,
+)
+
+
+def reference_total_derivative(a, axis):
+    """Total x- or y-derivative: even Leibniz derivation of degree +1."""
+    ds, dt = {"x": (1, 0), "y": (0, 1)}[axis]
+    acc = {}
+    for (upow, ufs, ths), c in a.terms.items():
+        if upow:
+            key = (upow - 1, _ufactors_mul(ufs, (((ds, dt), 1),)), ths)
+            _accumulate(acc, key, c * upow)
+        for (s, t), e in ufs:
+            base = _ufactor_set(ufs, (s, t), e - 1)
+            key = (upow, _ufactors_mul(base, (((s + ds, t + dt), 1),)), ths)
+            _accumulate(acc, key, c * e)
+        for i, (s, t) in enumerate(ths):
+            res = _theta_insert((s + ds, t + dt), ths[:i] + ths[i + 1 :])
+            if res is None:
+                continue
+            sign, new_ths = res
+            if i & 1:
+                sign = -sign
+            _accumulate(acc, (upow, ufs, new_ths), sign * c)
+    return DiffPoly(acc)
 
 
 def reference_euler(f, kind):
@@ -39,11 +75,11 @@ def reference_euler(f, kind):
             continue
         acc = DiffPoly.zero()
         for t in range(max(col), -1, -1):
-            acc = -total_derivative(acc, "y")
+            acc = -reference_total_derivative(acc, "y")
             if t in col:
                 acc = acc + col[t]
         by_s.append(acc)
     acc = DiffPoly.zero()
     for s in range(smax, -1, -1):
-        acc = -total_derivative(acc, "x") + by_s[s]
+        acc = -reference_total_derivative(acc, "x") + by_s[s]
     return acc

@@ -100,6 +100,30 @@ def test_argparse_errors_text_mode(capsys):
     assert "thetacalc normalize: error: argument --order: invalid int value" in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--fast", "--emit-miura"], ["--emit-miura", "--fast"]])
+def test_fast_with_emit_miura_is_a_usage_error(capsys, flags):
+    # the fast path computes no generators, so --emit-miura cannot be honoured
+    code, payload = run_json_error(
+        capsys, ["normalize", str(DATA / "example_eg.pb"), *flags, "--format", "json"]
+    )
+    assert code == 1
+    assert payload["error"]["type"] == "UsageError"
+    assert "not allowed with argument" in payload["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
+def test_fast_with_emit_miura_text_mode(capsys):
+    argv = ["normalize", str(DATA / "example_eg.pb"), "--fast", "--emit-miura"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: thetacalc normalize")
+    assert (
+        "thetacalc normalize: error: argument --emit-miura: not allowed with argument --fast"
+        in captured.err
+    )
+
+
 def test_order_below_one_text_mode(capsys):
     assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "0"]) == 1
     captured = capsys.readouterr()

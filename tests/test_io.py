@@ -66,6 +66,19 @@ def delta_entry_error(entry):
     return str(exc.value)
 
 
+def test_delta_entries_validated_once(monkeypatch):
+    # each entry's degree is checked once, by DeltaForm, not again on
+    # building the form
+    checked = []
+    standard_degree = DiffPoly.standard_degree
+    monkeypatch.setattr(
+        DiffPoly, "standard_degree", lambda self: checked.append(self) or standard_degree(self)
+    )
+    spec = parse("order=7; delta { A[0;0,1]=1; A[1;0,0]=0; A[2;3,0]=1; A[2;2,1]=u; }")
+    assert checked == [DiffPoly.one(), DiffPoly.one(), u()]
+    assert list(spec.delta.coefficients) == [(0, 0, 1), (2, 3, 0), (2, 2, 1)]
+
+
 def test_degree_mismatch_reported():
     assert "degree must be 0" in delta_entry_error("A[1;2,0] = u[1,0];")
 

@@ -1,17 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
-from reference_euler import reference_euler
+from hypothesis import assume, given, settings, strategies as st
+from reference_euler import reference_euler, reference_total_derivative
 
-from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
-from thetacalc.errors import DecompositionError
+from thetacalc.algebra import DiffPoly, Grade, _key_grade, enumerate_basis, mul, total_derivative
+from thetacalc.linsolve import solve_poly_system
 from thetacalc.rationals import QQ
-from thetacalc.variational import (
-    Functional,
-    divergence_decompose,
-    is_total_divergence,
-    var_theta,
-    var_u,
-)
+from thetacalc.variational import Functional, is_total_divergence, var_theta, var_u
 
 u = DiffPoly.u
 th = DiffPoly.theta
@@ -68,39 +62,89 @@ def test_var_theta_single_term():
 
 
 INDEX = st.tuples(st.integers(0, 6), st.integers(0, 6))
-KEY = st.tuples(
-    st.integers(0, 1),
-    st.dictionaries(INDEX.filter(lambda i: i != (0, 0)), st.integers(1, 2), max_size=2),
-    st.sets(INDEX, max_size=2),
-).filter(lambda k: k[0] + sum(k[1].values()) + len(k[2]) <= 4)  # bounds the D^12 blow-up
+# few indices, so that a raised u-factor often lands on one already there
+DENSE_INDEX = st.tuples(st.integers(0, 2), st.integers(0, 2))
+INT = st.integers(-5, 5).filter(bool)
+RATIONAL = st.builds(QQ, st.integers(-7, 7).filter(bool), st.integers(2, 5))
+MIXED = st.one_of(INT, RATIONAL)
+
+
+def keys(index, max_ufs=2):
+    return st.tuples(
+        st.integers(0, 1),
+        st.dictionaries(index.filter(lambda i: i != (0, 0)), st.integers(1, 2), max_size=max_ufs),
+        st.sets(index, max_size=2),
+    ).filter(lambda k: k[0] + sum(k[1].values()) + len(k[2]) <= 4)  # bounds the D^12 blow-up
 
 
 @st.composite
-def mixed_poly(draw):
-    """Inhomogeneous polynomial with int and QQ coefficients.
+def keyed_poly(draw, coeff, key_strategy=keys(INDEX)):
+    """Inhomogeneous polynomial with coefficients drawn from coeff.
 
     Keys are built directly, so u and theta factors reach order 6 in
     both x and y, beyond what the enumerated bases of small_poly give.
     """
-    coeff = st.one_of(
-        st.integers(-5, 5).filter(bool),
-        st.builds(QQ, st.integers(-7, 7).filter(bool), st.integers(2, 5)),
-    )
     terms = {}
-    for upow, ufs, ths in draw(st.lists(KEY, min_size=1, max_size=5)):
+    for upow, ufs, ths in draw(st.lists(key_strategy, min_size=1, max_size=5)):
         key = (upow, tuple(sorted(ufs.items())), tuple(sorted(ths, reverse=True)))
         terms[key] = draw(coeff)
     return DiffPoly(terms)
+
+
+def mixed_poly():
+    """Polynomial with int and QQ coefficients."""
+    return keyed_poly(MIXED)
+
+
+@st.composite
+def rational_poly(draw):
+    """All-rational polynomial with some denominator above 1.
+
+    Denominators are 2-9.  A total x- and y-derivative of a second such
+    polynomial is added, so terms cancel inside the Euler sweeps (its
+    image is zero) and against the first summand's.
+    """
+    coeff = st.builds(QQ, st.integers(-9, 9).filter(bool), st.integers(2, 9))
+    f = draw(keyed_poly(coeff)) + draw(keyed_poly(coeff)).dx() - draw(keyed_poly(coeff)).dy()
+    assume(any(c.denominator > 1 for c in f.terms.values()))
+    return f
 
 
 def _typed(poly):
     return {k: (c, type(c)) for k, c in poly.terms.items()}
 
 
+@pytest.mark.parametrize("coeff", [INT, RATIONAL, MIXED], ids=["int", "qq", "mixed"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_total_derivative_matches_reference(coeff, axis, data):
+    # equal terms and equal coefficient types
+    f = data.draw(keyed_poly(coeff, keys(DENSE_INDEX, max_ufs=3)))
+    assert _typed(total_derivative(f, axis)) == _typed(reference_total_derivative(f, axis))
+
+
+def test_total_derivative_raises_an_exponent():
+    # the raised index is already a factor: u^(1,0) u^(2,0) -> u^(2,0)^2 + ...
+    f = u(1, 0) * u(2, 0) * u(3, 0)
+    want = u(2, 0) * u(2, 0) * u(3, 0) + u(1, 0) * u(3, 0) * u(3, 0) + u(1, 0) * u(2, 0) * u(4, 0)
+    assert f.dx() == want
+    assert (u() * u(0, 1)).dy() == u(0, 1) * u(0, 1) + u() * u(0, 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_poly())
 def test_euler_operators_match_two_loop_reference(f):
     # equal terms and equal coefficient types: int inputs stay int
+    assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
+    assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_poly())
+def test_euler_operators_on_rational_input_match_reference(f):
+    # the all-rational input is lifted to ints and divided back: same
+    # terms, and every coefficient is rational as in the reference
     assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
     assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
 
@@ -176,6 +220,47 @@ def test_functionals_not_hashable():
 
 
 # -- explicit witnesses ----------------------------------------------------
+
+
+class DecompositionError(Exception):
+    """divergence_decompose called on a non-divergence."""
+
+
+def divergence_decompose(a, grade=None):
+    """Explicit witnesses (bx, by) with a = dx(bx) + dy(by).
+
+    Solved exactly over the enumerated monomial bases one grade lower;
+    raises DecompositionError when a is not a divergence.
+    """
+    if a.is_zero():
+        return DiffPoly.zero(), DiffPoly.zero()
+    if grade is None:
+        grade = a.grade()
+    if grade is None:
+        # handle each homogeneous piece separately
+        pieces = {}
+        for key, c in a.terms.items():
+            pieces.setdefault(_key_grade(key), {})[key] = c
+        bx_total, by_total = DiffPoly.zero(), DiffPoly.zero()
+        for g, terms in sorted(pieces.items()):
+            bx, by = divergence_decompose(DiffPoly(terms), g)
+            bx_total, by_total = bx_total + bx, by_total + by
+        return bx_total, by_total
+    d, p, w = grade
+    if d == 0:
+        raise DecompositionError("degree-0 elements are never divergences")
+    basis = [m.as_poly() for m in enumerate_basis(Grade(d - 1, p, w))]
+    sol = solve_poly_system([m.dx() for m in basis] + [m.dy() for m in basis], a)
+    if sol is None:
+        raise DecompositionError("element is not a total divergence")
+    n = len(basis)
+    bx, by = DiffPoly.zero(), DiffPoly.zero()
+    for j, m in enumerate(basis):
+        if sol[j]:
+            bx = bx + m.scale(sol[j])
+        if sol[n + j]:
+            by = by + m.scale(sol[n + j])
+    return bx, by
 
 
 def test_decompose_simple():
