@@ -109,16 +109,6 @@ def _ufactors_mul(ufs1, ufs2):
     return tuple(sorted(acc.items()))
 
 
-def _ufactor_set(ufs, idx, e):
-    """Return ufs with the exponent of idx set to e (dropped when 0)."""
-    acc = dict(ufs)
-    if e:
-        acc[idx] = e
-    else:
-        del acc[idx]
-    return tuple(sorted(acc.items()))
-
-
 class DiffPoly:
     """Canonical sum of monomials; immutable after construction."""
 
@@ -358,6 +348,36 @@ def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
     return DiffPoly(acc)
 
 
+def _partials(terms: dict, kind: str) -> dict:
+    """Every partial d/d<kind>^(s,t) that terms has, as {s: {t: DiffPoly}}.
+
+    One pass files each term under each partial it has; the terms of a
+    partial come in the order of terms.  kind 'u' takes (0,0) as d/du,
+    kind 'theta' is the left derivative.
+    """
+    if kind not in ("u", "theta"):
+        raise ValueError(f"kind must be 'u' or 'theta', got {kind!r}")
+    acc = {}
+    for (upow, ufs, ths), c in terms.items():
+        if kind == "u":
+            if upow:
+                part = acc.setdefault((0, 0), {})
+                _accumulate(part, (upow - 1, ufs, ths), c if upow == 1 else c * upow)
+            for i, (idx, e) in enumerate(ufs):
+                part = acc.setdefault(idx, {})
+                key = (upow, _ufactor_lower(ufs, i), ths)
+                _accumulate(part, key, c if e == 1 else c * e)
+        else:
+            for i, idx in enumerate(ths):
+                part = acc.setdefault(idx, {})
+                key = (upow, ufs, ths[:i] + ths[i + 1 :])
+                _accumulate(part, key, -c if i & 1 else c)
+    by_s = {}
+    for (s, t), part in acc.items():
+        by_s.setdefault(s, {})[t] = DiffPoly(part)
+    return by_s
+
+
 def partial_derivative(a: DiffPoly, kind: str, s: int, t: int) -> DiffPoly:
     """Partial derivative in one variable.
 
@@ -366,32 +386,7 @@ def partial_derivative(a: DiffPoly, kind: str, s: int, t: int) -> DiffPoly:
     the theta factor is moved to the front with its Koszul sign, then
     removed.
     """
-    acc = {}
-    if kind == "u":
-        if s == 0 and t == 0:
-            for (upow, ufs, ths), c in a._terms.items():
-                if upow:
-                    _accumulate(acc, (upow - 1, ufs, ths), c * upow)
-        else:
-            idx = (s, t)
-            for (upow, ufs, ths), c in a._terms.items():
-                for (si, ti), e in ufs:
-                    if (si, ti) == idx:
-                        key = (upow, _ufactor_set(ufs, idx, e - 1), ths)
-                        _accumulate(acc, key, c * e)
-                        break
-    elif kind == "theta":
-        idx = (s, t)
-        for (upow, ufs, ths), c in a._terms.items():
-            for i, th in enumerate(ths):
-                if th == idx:
-                    sign = -1 if i & 1 else 1
-                    key = (upow, ufs, ths[:i] + ths[i + 1 :])
-                    _accumulate(acc, key, sign * c)
-                    break
-    else:
-        raise ValueError(f"kind must be 'u' or 'theta', got {kind!r}")
-    return DiffPoly(acc)
+    return _partials(a.terms, kind).get(s, {}).get(t, DiffPoly.zero())
 
 
 def grade_of(a: DiffPoly) -> Optional[Grade]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .cohomology import (
@@ -21,6 +22,7 @@ from .errors import (
     BracketSpecError,
     JacobiViolation,
     ObstructionNonzeroBockstein,
+    ParseError,
     ThetaCalcError,
 )
 from .normalizer import invariants_fast, normalize
@@ -34,12 +36,24 @@ EXIT_USAGE = 1
 EXIT_JACOBI = 2
 EXIT_OBSTRUCTION = 3
 
+# surrogateescape decodes each byte that is not UTF-8 to one of these
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 def _load_series(path: str, order):
     if order is not None and order < 1:
         raise BracketSpecError(f"--order must be at least 1, got {order}")
-    with open(path, "r", encoding="utf-8") as fh:
-        series = parse(fh.read()).to_series()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = _UNDECODED_BYTE.search(text)
+    if bad is not None:
+        i = bad.start()
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{ord(text[i]) - 0xDC00:02x}",
+            text.count("\n", 0, i) + 1,
+            i - text.rfind("\n", 0, i),
+        )
+    series = parse(text).to_series()
     return series if order is None else series.truncate(order)
 
 

@@ -20,10 +20,12 @@ derivative, so each weight block reduces to one sparse rational solve.
 
 The coefficient matrix of a (degree, weight) block depends only on the
 block.  block_operator builds and eliminates it once and memoizes it for
-the life of the process; decompose_h2, normalizer.solve_coboundary and
-verify_bockstein_injective all solve through it, replaying the recorded
-elimination on their right-hand side.  Memory is bounded by the blocks
-touched (about 1.4 MB for two order-6 conjugates).
+the life of the process.  decompose_h2 is the one loop that solves
+through it, replaying the recorded elimination on each weight block's
+right-hand side; the normalizer and verify_distinctness both split their
+components with decompose_h2, and verify_bockstein_injective reads the
+pivots of the weight-one block.  Memory is bounded by the blocks touched
+(about 1.4 MB for two order-6 conjugates).
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from .algebra import (
     Grade,
     _accumulate,
     _theta_insert,
-    _ufactor_set,
+    _ufactor_lower,
     _ufactors_mul,
     enumerate_basis,
+    mul,
 )
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization, poly_rank, solve_poly_system
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
-from .variational import Functional, var_theta
+from .variational import Functional, var_theta, var_u
 
 
 def delta(a: DiffPoly) -> DiffPoly:
@@ -57,11 +60,11 @@ def delta(a: DiffPoly) -> DiffPoly:
             if res is not None:
                 sign, nths = res
                 _accumulate(acc, (upow - 1, ufs, nths), sign * c * upow)
-        for (s, t), e in ufs:
+        for i, ((s, t), e) in enumerate(ufs):
             res = _theta_insert((s, t + 1), ths)
             if res is not None:
                 sign, nths = res
-                key = (upow, _ufactor_set(ufs, (s, t), e - 1), nths)
+                key = (upow, _ufactor_lower(ufs, i), nths)
                 _accumulate(acc, key, sign * c * e)
     return DiffPoly(acc)
 
@@ -203,8 +206,6 @@ def reduce_mod_dx(t: DiffPoly) -> DiffPoly:
 
 def evolutionary_field(g: DiffPoly) -> Functional:
     """The vector field with characteristic g, as the functional of g*th."""
-    from .algebra import mul
-
     return Functional(mul(g, DiffPoly.theta(0, 0)))
 
 
@@ -213,8 +214,6 @@ def _ad_p1_column(m: DiffPoly) -> DiffPoly:
 
     The coefficient type of m is kept: an int m gives an int column.
     """
-    from .algebra import mul
-
     return var_theta(delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))
 
 
@@ -368,7 +367,6 @@ def verify_square_lemma(k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    from .algebra import mul
 
     support = list(range(k // 2 + 1, k + 1))  # i > k - i >= 0
     if len(support) < 2:
@@ -494,8 +492,6 @@ def verify_nontriv_lemma(d: int) -> bool:
             F = schouten(imgs[i], imgs[j])
             # coordinates where a super-3 functional vanishes iff both
             # variational derivatives do
-            from .variational import var_u
-
             brk[(i, j)] = (var_theta(F.density), var_u(F.density))
     if n == 1:
         v = brk[(0, 0)]

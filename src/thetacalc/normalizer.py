@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DiffPoly, Grade
-from .cohomology import block_operator, decompose_h2, evolutionary_field
+from .cohomology import decompose_h2
 from .deltaform import theta_to_delta
 from .errors import (
     InternalInconsistency,
@@ -32,7 +32,7 @@ from .schouten import (
     pst,
     standard_leading_term,
 )
-from .variational import Functional, var_theta
+from .variational import Functional
 
 
 @dataclass
@@ -113,8 +113,7 @@ def normalize(P: BracketSeries, order: int | None = None) -> NormalizationResult
             cur = miura_apply(Y, cur, order)
         # the degree-d component now equals its class part; store the
         # canonical density so later steps push around less material
-        part = pst(d, 0).scale(dec.c) if (d % 2 == 1 and dec.c != 0) else Functional.zero()
-        cur = _replace_component(cur, d, part)
+        cur = _replace_component(cur, d, sum(dec.parts(), Functional.zero()))
 
     expected = build_normal_form([c for _, c in invariants], order)
     if not cur == expected:
@@ -151,28 +150,13 @@ def invariants_fast(P: BracketSeries):
     return c1, c2
 
 
-def solve_coboundary(target: Functional, d: int):
-    """A vector field X with ad_p1(X) = target, or None when infeasible.
-
-    Solved per weight block over evolutionary unknowns one degree lower,
-    with the block operator of decompose_h2: a target that needs a class
-    part (c or chi) is not a coboundary.
-    """
-    x_density = DiffPoly.zero()
-    for w, block in target.density.weight_components().items():
-        part = block_operator(d, w).solve(var_theta(block))
-        if part is None or part.c or not part.chi.is_zero():
-            return None
-        x_density = x_density + part.x
-    return evolutionary_field(x_density)
-
-
 def verify_distinctness(cs, cs_other, order: int) -> bool:
     """Whether two normal forms are Miura equivalent within the order.
 
     Solves degree by degree for a transformation mapping one onto the
-    other; the first differing constant makes its degree's linear system
-    infeasible, which is reported as False.
+    other.  Each gap is a cocycle, because both series are Poisson and
+    agree below its degree; decompose_h2 splits it, and a class part (a
+    nonzero c or chi) means the two forms are inequivalent.
     """
     source = build_normal_form(cs, order)
     target = build_normal_form(cs_other, order)
@@ -181,8 +165,8 @@ def verify_distinctness(cs, cs_other, order: int) -> bool:
         gap = target.component(d) - cur.component(d)
         if gap.is_zero():
             continue
-        X = solve_coboundary(gap, d)
-        if X is None:
+        dec = decompose_h2(gap, d)
+        if dec.c or not dec.chi.is_zero():
             return False
-        cur = miura_apply(X, cur, order)
+        cur = miura_apply(dec.X, cur, order)
     return True

@@ -54,6 +54,9 @@ class BracketSpecFile:
 
 
 _PUNCT = set("={}[]();,^*+-/")
+# str.isdigit also accepts non-ASCII digits such as '²', which int()
+# rejects, and '١', which it reads as 1
+_DIGITS = set("0123456789")
 
 
 @dataclass
@@ -84,10 +87,10 @@ def _tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
             startcol = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(_Token("int", int(text[start:i]), line, startcol))
@@ -95,7 +98,7 @@ def _tokenize(text: str):
         if ch.isalpha() or ch == "_":
             start = i
             startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and (text[i].isalpha() or text[i] in _DIGITS or text[i] == "_"):
                 i += 1
                 col += 1
             tokens.append(_Token("name", text[start:i], line, startcol))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra import DiffPoly, _accumulate, _ufactor_lower, grade_of, total_derivative
+from .algebra import DiffPoly, _accumulate, _partials, grade_of, total_derivative
 from .rationals import QQ
 
 
@@ -66,34 +66,6 @@ def _denominator_lcm(coefficients):
             return None
         dens.add(c.denominator)
     return lcm(*dens) if dens else None
-
-
-def _partials(terms: dict, kind: str) -> dict:
-    """Every partial d/d<kind>^(s,t) that terms has, as {s: {t: DiffPoly}}.
-
-    One pass files each term under each partial it has; the terms of a
-    partial come in the order of terms, as partial_derivative gives them.
-    kind 'u' takes (0,0) as d/du, kind 'theta' is the left derivative.
-    """
-    acc = {}
-    for (upow, ufs, ths), c in terms.items():
-        if kind == "u":
-            if upow:
-                part = acc.setdefault((0, 0), {})
-                _accumulate(part, (upow - 1, ufs, ths), c if upow == 1 else c * upow)
-            for i, (idx, e) in enumerate(ufs):
-                part = acc.setdefault(idx, {})
-                key = (upow, _ufactor_lower(ufs, i), ths)
-                _accumulate(part, key, c if e == 1 else c * e)
-        else:
-            for i, idx in enumerate(ths):
-                part = acc.setdefault(idx, {})
-                key = (upow, ufs, ths[:i] + ths[i + 1 :])
-                _accumulate(part, key, -c if i & 1 else c)
-    by_s = {}
-    for (s, t), part in acc.items():
-        by_s.setdefault(s, {})[t] = DiffPoly(part)
-    return by_s
 
 
 def _signed_horner(parts: dict, axis: str) -> DiffPoly:
@@ -149,20 +121,17 @@ def is_total_divergence(a: DiffPoly) -> bool:
 class Functional:
     """An element of the quotient space, held as a chosen density."""
 
-    __slots__ = ("density", "_grade")
+    __slots__ = ("density",)
 
     def __init__(self, density: DiffPoly):
         self.density = density
-        self._grade = None
 
     @classmethod
     def zero(cls) -> "Functional":
         return cls(DiffPoly.zero())
 
     def grade(self):
-        if self._grade is None:
-            self._grade = grade_of(self.density)
-        return self._grade
+        return grade_of(self.density)
 
     def super_degree(self):
         return self.density.super_degree()

@@ -1,4 +1,10 @@
-"""Reference Euler operator and total derivative, for tests only.
+"""Reference Euler operator, total derivative and partial derivative,
+for tests only.
+
+reference_partial is the per-index partial derivative that
+thetacalc.algebra replaced by its one-pass kernel: one scan over every
+term of f for a single index, with the lowered u-exponent rebuilt through
+a dict and a sort.
 
 reference_total_derivative is the dict-and-sort total derivative that
 thetacalc.algebra replaced by its tuple-native one: every differentiated
@@ -12,19 +18,52 @@ reference_euler is the two-loop Horner evaluation of
 that thetacalc.variational replaced by its sign-folded sweep: for each s
 the accumulator is differentiated and negated, acc = -dy(acc) + f_(s,t),
 running t downwards, and the per-s sums are then combined the same way
-with dx.  It takes one partial_derivative per index, differentiates with
+with dx.  It takes one reference_partial per index, differentiates with
 reference_total_derivative and never lifts to ints, so it shares no code
-with the production sweep beyond DiffPoly and partial_derivative.
+with the production kernels beyond DiffPoly and the product helpers.
 """
 
-from thetacalc.algebra import (
-    DiffPoly,
-    _accumulate,
-    _theta_insert,
-    _ufactor_set,
-    _ufactors_mul,
-    partial_derivative,
-)
+from thetacalc.algebra import DiffPoly, _accumulate, _theta_insert, _ufactors_mul
+
+
+def _ufactor_set(ufs, idx, e):
+    """Return ufs with the exponent of idx set to e (dropped when 0)."""
+    acc = dict(ufs)
+    if e:
+        acc[idx] = e
+    else:
+        del acc[idx]
+    return tuple(sorted(acc.items()))
+
+
+def reference_partial(a, kind, s, t):
+    """d a / d<kind>^(s,t); kind 'u' with (0,0) is d/du, 'theta' the left derivative."""
+    acc = {}
+    if kind == "u":
+        if s == 0 and t == 0:
+            for (upow, ufs, ths), c in a.terms.items():
+                if upow:
+                    _accumulate(acc, (upow - 1, ufs, ths), c * upow)
+        else:
+            idx = (s, t)
+            for (upow, ufs, ths), c in a.terms.items():
+                for (si, ti), e in ufs:
+                    if (si, ti) == idx:
+                        key = (upow, _ufactor_set(ufs, idx, e - 1), ths)
+                        _accumulate(acc, key, c * e)
+                        break
+    elif kind == "theta":
+        idx = (s, t)
+        for (upow, ufs, ths), c in a.terms.items():
+            for i, th in enumerate(ths):
+                if th == idx:
+                    sign = -1 if i & 1 else 1
+                    key = (upow, ufs, ths[:i] + ths[i + 1 :])
+                    _accumulate(acc, key, sign * c)
+                    break
+    else:
+        raise ValueError(f"kind must be 'u' or 'theta', got {kind!r}")
+    return DiffPoly(acc)
 
 
 def reference_total_derivative(a, axis):
@@ -65,7 +104,7 @@ def reference_euler(f, kind):
     if not partials:
         return DiffPoly.zero()
     for idx in partials:
-        partials[idx] = partial_derivative(f, kind, idx[0], idx[1])
+        partials[idx] = reference_partial(f, kind, idx[0], idx[1])
     smax = max(s for s, _ in partials)
     by_s = []
     for s in range(smax + 1):

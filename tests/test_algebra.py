@@ -139,6 +139,12 @@ def test_bad_axis_rejected():
 # -- partial derivatives -------------------------------------------------
 
 
+def test_bad_kind_rejected():
+    for f in (u(), DiffPoly.zero()):
+        with pytest.raises(ValueError):
+            partial_derivative(f, "v", 0, 0)
+
+
 def test_left_theta_derivative_sign():
     # the (0,1) factor crosses one theta on its way to the front
     f = mul(th(0, 0), th(0, 1))

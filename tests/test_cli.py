@@ -200,6 +200,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "digit.pb"
+    bad.write_text("order=2;\ntheta { density[2] = \u00b2*th[0,0]*th[2,0]; }", encoding="utf-8")
+    code, payload = run_json_error(capsys, ["normalize", str(bad), "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ParseError",
+        "message": "line 2, col 22: unexpected character '\u00b2'",
+    }
+
+
+@pytest.mark.parametrize("command", ["normalize", "check"])
+@pytest.mark.parametrize(
+    "content, position",
+    [
+        (b"order = 2;\r\ntheta { density[2] = \xc3\xa9\xff; }\n", "line 2, col 23"),
+        (b"# a comment \xff\norder = 2; theta { }\n", "line 1, col 13"),
+    ],
+    ids=["expression", "comment"],
+)
+def test_invalid_utf8_is_a_parse_error(tmp_path, capsys, command, content, position):
+    # the position counts characters, so the valid two-byte e-acute is one column
+    bad = tmp_path / "bytes.pb"
+    bad.write_bytes(content)
+    message = f"{position}: invalid UTF-8 byte 0xff"
+    code, payload = run_json_error(capsys, [command, str(bad), "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {"type": "ParseError", "message": message}
+    assert run_cli([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error (ParseError): {message}\n"
+
+
 def test_uncaught_library_error_is_json(capsys, monkeypatch):
     from thetacalc import cli
     from thetacalc.errors import InternalInconsistency

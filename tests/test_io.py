@@ -108,6 +108,24 @@ def test_parse_error_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("order=2;\ntheta { density[2] = \u00b2*th[0,0]*th[2,0]; }", 2, 22),
+        ("order=2;\ntheta { density[2] = u\u00b2*th[0,0]*th[2,0]; }", 2, 23),
+        ("order=\u0661; theta { }", 1, 7),
+        ("order=2\u0661; theta { }", 1, 8),
+    ],
+    ids=["superscript", "after-name", "arabic-indic", "after-digit"],
+)
+def test_non_ascii_digit_rejected(text, line, col):
+    # str.isdigit accepts these; int() rejects '\u00b2' and reads '\u0661' as 1
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert "unexpected character" in str(exc.value)
+
+
 def test_duplicate_entry_rejected():
     with pytest.raises(ParseError):
         parse("order=2; delta { A[1;1,0]=u[1,0]; A[1;1,0]=u[0,1]; }")

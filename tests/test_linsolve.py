@@ -9,7 +9,6 @@ from thetacalc.cohomology import (
     theta_monomial,
 )
 from thetacalc.linsolve import Factorization, poly_rank, solve_poly_system
-from thetacalc.normalizer import solve_coboundary
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional
@@ -73,6 +72,6 @@ def test_solutions_are_rationals():
     values = [dec.c, *dec.chi.terms.values(), *dec.X.density.terms.values()]
     assert _all_qq(values)
 
-    Y = solve_coboundary(coboundary, 5)
+    Y = decompose_h2(coboundary, 5).X
     assert schouten(standard_leading_term(), Y) == coboundary
     assert Y.density.terms and _all_qq(Y.density.terms.values())

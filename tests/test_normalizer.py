@@ -14,7 +14,6 @@ from thetacalc.normalizer import (
     build_normal_form,
     invariants_fast,
     normalize,
-    solve_coboundary,
     verify_distinctness,
 )
 from thetacalc.rationals import QQ
@@ -279,20 +278,24 @@ def test_difference_beyond_order_is_invisible():
     assert verify_distinctness([QQ(1), QQ(2)], [QQ(1), QQ(3)], 2) is True
 
 
-def test_solve_coboundary_finds_witness():
+def test_decompose_h2_coboundary_finds_witness():
     target = pst(2, 1)
-    X = solve_coboundary(target, 3)
-    assert X is not None
+    dec = decompose_h2(target, 3)
+    assert dec.c == 0 and dec.chi.is_zero()
     from thetacalc.schouten import schouten
 
-    assert schouten(standard_leading_term(), X) == target
+    assert schouten(standard_leading_term(), dec.X) == target
 
 
-def test_solve_coboundary_rejects_class():
-    assert solve_coboundary(pst(3, 0), 3) is None
+def test_decompose_h2_reports_class():
+    def has_class(P):
+        dec = decompose_h2(P, 3)
+        return dec.c != 0 or not dec.chi.is_zero()
+
+    assert has_class(pst(3, 0))
     split = Functional(bockstein_split(theta_monomial((2, 1, 0))))
-    assert solve_coboundary(split, 3) is None
-    assert solve_coboundary(split + pst(2, 1), 3) is None
+    assert has_class(split)
+    assert has_class(split + pst(2, 1))
 
 
 def test_normalize_same_with_cold_and_warm_block_cache():

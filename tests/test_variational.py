@@ -1,8 +1,19 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference_euler import reference_euler, reference_total_derivative
+from reference_euler import reference_euler, reference_partial, reference_total_derivative
 
-from thetacalc.algebra import DiffPoly, Grade, _key_grade, enumerate_basis, mul, total_derivative
+from thetacalc.algebra import (
+    DiffPoly,
+    Grade,
+    _key_grade,
+    enumerate_basis,
+    mul,
+    partial_derivative,
+    total_derivative,
+)
 from thetacalc.linsolve import solve_poly_system
 from thetacalc.rationals import QQ
 from thetacalc.variational import Functional, is_total_divergence, var_theta, var_u
@@ -122,6 +133,33 @@ def test_total_derivative_matches_reference(coeff, axis, data):
     # equal terms and equal coefficient types
     f = data.draw(keyed_poly(coeff, keys(DENSE_INDEX, max_ufs=3)))
     assert _typed(total_derivative(f, axis)) == _typed(reference_total_derivative(f, axis))
+
+
+@pytest.mark.parametrize("coeff", [INT, RATIONAL, MIXED], ids=["int", "qq", "mixed"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partial_derivative_matches_per_index_scan(coeff, data):
+    # every index f carries, plus one it does not; equal terms and types
+    f = data.draw(keyed_poly(coeff, keys(DENSE_INDEX, max_ufs=3)))
+    indices = {("u", 0, 0), ("u", 7, 7), ("theta", 7, 7)}
+    for _, ufs, ths in f.terms:
+        indices.update(("u", s, t) for (s, t), _ in ufs)
+        indices.update(("theta", s, t) for s, t in ths)
+    for kind, s, t in indices:
+        got = partial_derivative(f, kind, s, t)
+        assert _typed(got) == _typed(reference_partial(f, kind, s, t))
+
+
+def test_reference_shares_no_partial_kernel():
+    # the oracle would otherwise compare the kernel with itself
+    tree = ast.parse(Path(__file__).with_name("reference_euler.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"partial_derivative", "_partials", "_ufactor_lower", "_ufactor_set"}
 
 
 def test_total_derivative_raises_an_exponent():
