@@ -64,10 +64,10 @@ def _theta_insert(th, ths):
     """
     for i, existing in enumerate(ths):
         if th > existing:
-            return (-1) ** i, ths[:i] + (th,) + ths[i:]
+            return -1 if i & 1 else 1, ths[:i] + (th,) + ths[i:]
         if th == existing:
             return None
-    return (-1) ** len(ths), ths + (th,)
+    return -1 if len(ths) & 1 else 1, ths + (th,)
 
 
 def _theta_merge(ths1, ths2):
@@ -315,9 +315,12 @@ def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
     """Total x- or y-derivative: even Leibniz derivation of degree +1.
 
     Works on the key tuples directly: a differentiated u-factor moves to
-    a larger index, so its new slot is searched from its old one on.  A
-    coefficient is multiplied only by an exponent above 1 and negated for
-    a sign of -1, never multiplied by 1 or -1.
+    a larger index, so its new slot is searched from its old one on, and
+    a differentiated theta index sorts above its old one, so it is
+    re-inserted by scanning only the slots before it.  A coefficient is
+    multiplied only by an exponent above 1 and negated for a sign of -1,
+    never multiplied by 1 or -1.  Output terms are accumulated inline,
+    without a function call per term.
     """
     if axis == "x":
         ds, dt = 1, 0
@@ -329,22 +332,51 @@ def total_derivative(a: DiffPoly, axis: str) -> DiffPoly:
     for (upow, ufs, ths), c in a._terms.items():
         if upow:
             key = (upow - 1, _ufactor_raise(ufs, 0, (ds, dt)), ths)
-            _accumulate(acc, key, c if upow == 1 else c * upow)
+            v = c if upow == 1 else c * upow
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = v
+            else:
+                v = prev + v
+                if v == 0:
+                    del acc[key]
+                else:
+                    acc[key] = v
         for i, ((s, t), e) in enumerate(ufs):
             # every factor before slot i sorts below the raised index
             base = _ufactor_lower(ufs, i)
             key = (upow, _ufactor_raise(base, i, (s + ds, t + dt)), ths)
-            _accumulate(acc, key, c if e == 1 else c * e)
+            v = c if e == 1 else c * e
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = v
+            else:
+                v = prev + v
+                if v == 0:
+                    del acc[key]
+                else:
+                    acc[key] = v
         for i, (s, t) in enumerate(ths):
-            res = _theta_insert((s + ds, t + dt), ths[:i] + ths[i + 1 :])
-            if res is None:
+            # the raised index leaves slot i and lands in slot j <= i: it
+            # sorts above ths[i] and so above every later factor; the two
+            # moves give the sign (-1)^(i - j)
+            raised = (s + ds, t + dt)
+            j = 0
+            while j < i and ths[j] > raised:
+                j += 1
+            if j < i and ths[j] == raised:
                 continue
-            sign, new_ths = res
-            # the factor was removed from slot i (sign (-1)^i) and the
-            # raised index re-inserted from the left
-            if i & 1:
-                sign = -sign
-            _accumulate(acc, (upow, ufs, new_ths), c if sign > 0 else -c)
+            key = (upow, ufs, ths[:j] + (raised,) + ths[j:i] + ths[i + 1 :])
+            v = -c if (i - j) & 1 else c
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = v
+            else:
+                v = prev + v
+                if v == 0:
+                    del acc[key]
+                else:
+                    acc[key] = v
     return DiffPoly(acc)
 
 

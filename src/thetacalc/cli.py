@@ -43,7 +43,8 @@ _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 def _load_series(path: str, order):
     if order is not None and order < 1:
         raise BracketSpecError(f"--order must be at least 1, got {order}")
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # utf-8-sig drops a leading byte-order mark, which some editors write
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
     bad = _UNDECODED_BYTE.search(text)
     if bad is not None:

@@ -26,6 +26,13 @@ right-hand side; the normalizer and verify_distinctness both split their
 components with decompose_h2, and verify_bockstein_injective reads the
 pivots of the weight-one block.  Memory is bounded by the blocks touched
 (about 1.4 MB for two order-6 conjugates).
+
+The generator and split-class columns of a block, and the columns of
+verify_varder_lemma, are built through one variational._DerivativeTable,
+so their Euler sweeps derive each monomial once.  The table is local to
+the build and dropped with the columns once the block is factorized.
+There is no table across blocks: one that grows with the process costs
+more memory than it saves time (see variational).
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization, poly_rank, solve_poly_system
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
-from .variational import Functional, var_theta, var_u
+from .variational import Functional, _DerivativeTable, _euler_operator, var_theta, var_u
 
 
 def delta(a: DiffPoly) -> DiffPoly:
@@ -209,12 +216,15 @@ def evolutionary_field(g: DiffPoly) -> Functional:
     return Functional(mul(g, DiffPoly.theta(0, 0)))
 
 
-def _ad_p1_column(m: DiffPoly) -> DiffPoly:
+def _ad_p1_column(m: DiffPoly, derivation=None) -> DiffPoly:
     """theta-derivative coordinates of ad_p1 of the evolutionary field m*th.
 
     The coefficient type of m is kept: an int m gives an int column.
+    derivation is the block's _DerivativeTable (total_derivative when
+    None, as in var_theta).
     """
-    return var_theta(delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))
+    density = delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1})))
+    return _euler_operator(density, "theta", derivation)
 
 
 class BlockSolution(NamedTuple):
@@ -244,13 +254,18 @@ class BlockOperator:
         quot = theta_quotient_basis(3, d) if w == 1 else []
         self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
         # unit monomials with int coefficients keep the generator and
-        # split-class columns integral, Euler-operator sweeps included
-        columns = [_ad_p1_column(DiffPoly({k: 1})) for k in self._x_keys]
+        # split-class columns integral, Euler-operator sweeps included;
+        # their sweeps share one derivative table, dropped with the columns
+        table = _DerivativeTable()
+        columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in self._x_keys]
         self._c_index = None
         if w == 0 and d % 2 == 1:
             self._c_index = len(columns)
             columns.append(var_theta(pst(d, 0).density))
-        columns += [var_theta(bockstein_split(DiffPoly({k: 1}))) for k in self._chi_keys]
+        columns += [
+            _euler_operator(bockstein_split(DiffPoly({k: 1})), "theta", table)
+            for k in self._chi_keys
+        ]
         self._system = Factorization(columns)
 
     @property
@@ -380,20 +395,21 @@ def verify_square_lemma(k: int) -> bool:
                 prods.append(prod)
     if not prods:
         return True
-    dx_cols = [b.dx() for b in theta_basis(4, 2 * k - 1)]
+    basis = theta_basis(4, 2 * k - 1)
+    dx_cols = [b.dx() for b in basis]
     r_dx = poly_rank(dx_cols)
     if r_dx + poly_rank(prods) == poly_rank(dx_cols + prods):
         return True
 
-    # pass 2: blockwise chain analysis
-    lower_half, upper_half = [], []
-    for b in theta_basis(4, 2 * k - 1):
-        ks = _theta_key(next(iter(b.terms)))
-        (lower_half if ks[0] + ks[3] <= k - 1 else upper_half).append(b)
+    # pass 2: blockwise chain analysis, on the preimages and images of pass 1
     seen = set()
-    for v in lower_half:
-        seen.update(v.dx().terms)
-    upper_images = [v.dx() for v in upper_half]
+    upper_images = []
+    for b, image in zip(basis, dx_cols):
+        ks = _theta_key(next(iter(b.terms)))
+        if ks[0] + ks[3] <= k - 1:
+            seen.update(image.terms)
+        else:
+            upper_images.append(image)
     if upper_images and seen:
         units = [DiffPoly({key: QQ(1)}) for key in sorted(seen)]
         leak = (
@@ -436,7 +452,8 @@ def verify_varder_lemma(d: int) -> bool:
     theta variational derivative."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    cols = [var_theta(b) for b in theta_basis(3, d)]
+    table = _DerivativeTable()
+    cols = [_euler_operator(b, "theta", table) for b in theta_basis(3, d)]
     if not cols:
         return True
     system = Factorization(cols)

@@ -22,6 +22,19 @@ the lcm L of its denominators, the sweeps run on Python ints, and each
 output coefficient is divided by L.  Int input runs on ints anyway, and
 mixed int/rational input is not lifted, so that an output coefficient
 fed only by int terms stays an int.
+
+The D of the sweeps is a parameter of the private _euler_operator.  A
+caller that runs the operators on a batch of densities, such as the
+columns of one coboundary block, passes a _DerivativeTable: it derives
+each (axis, monomial) once, by total_derivative on the unit monomial, and
+spreads each coefficient over that row.  The columns of a block share
+most of their monomials: the block builds of two order-6 conjugates
+differentiated 18,445 monomials, of which 3,505 are distinct within
+their block.  The table lives only as long as its batch.  One process-wide table for the same callers was measured
+and rejected: it keeps every monomial ever derived, and on two order-6
+conjugates it raised peak RSS from 20.2 to 21.7 MB for a 3% gain in
+wall time.  var_theta and var_u stay on total_derivative itself, since
+one density has no repeats to share.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from .algebra import DiffPoly, _accumulate, _partials, grade_of, total_derivativ
 from .rationals import QQ
 
 
-def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
+def _euler_operator(f: DiffPoly, kind: str, derivation=None) -> DiffPoly:
     """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t).
 
     The partials are collected in one pass over f, grouped by s, and
@@ -42,7 +55,11 @@ def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
     of its denominators, the sweeps run on ints, and each coefficient of
     the result is divided by L once; int or mixed input is not lifted,
     so its coefficient types come out as the sweeps leave them.
+    derivation(poly, axis) is the D of the sweeps: a _DerivativeTable
+    shared by a batch of densities, or total_derivative when None.
     """
+    if derivation is None:
+        derivation = total_derivative
     terms = f.terms
     L = _denominator_lcm(terms.values())
     if L is not None:
@@ -51,7 +68,9 @@ def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
     if not by_s:
         return DiffPoly.zero()
     out = _signed_horner(
-        {s: _signed_horner(col, "y") for s, col in by_s.items()}, "x"
+        {s: _signed_horner(col, "y", derivation) for s, col in by_s.items()},
+        "x",
+        derivation,
     )
     if L is None:
         return out
@@ -68,8 +87,8 @@ def _denominator_lcm(coefficients):
     return lcm(*dens) if dens else None
 
 
-def _signed_horner(parts: dict, axis: str) -> DiffPoly:
-    """sum over k of (-D)^k parts[k], with D the total derivative along axis.
+def _signed_horner(parts: dict, axis: str, derivation) -> DiffPoly:
+    """sum over k of (-D)^k parts[k], with D = derivation(., axis).
 
     Horner's rule with the signs folded into the parts: B_k = D B_(k+1)
     + (-1)^k parts[k], and the sum is B_0.  D is skipped while the
@@ -80,13 +99,51 @@ def _signed_horner(parts: dict, axis: str) -> DiffPoly:
     for k in range(max(parts), -1, -1):
         if acc:
             # the result dict is fresh, so it can be updated in place
-            acc = total_derivative(DiffPoly(acc), axis).terms
+            acc = derivation(DiffPoly(acc), axis).terms
         part = parts.get(k)
         if part is not None:
             odd = k & 1
             for key, c in part.terms.items():
                 _accumulate(acc, key, -c if odd else c)
     return DiffPoly(acc)
+
+
+class _DerivativeTable:
+    """Total derivatives for one batch of densities, each monomial derived once.
+
+    Called like total_derivative(a, axis).  The row of a monomial is its
+    derivative as a tuple of (key, int multiplier), computed on first use
+    by total_derivative on the unit monomial, so the Leibniz rule is
+    written once; a coefficient c is then spread as c for 1, -c for -1
+    and c * m otherwise, which gives the values and coefficient types of
+    total_derivative itself.  A table is meant to be dropped with its
+    batch: it holds every monomial the batch's sweeps reached.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows = {"x": {}, "y": {}}
+
+    def __call__(self, a: DiffPoly, axis: str) -> DiffPoly:
+        rows = self._rows[axis]
+        acc = {}
+        for key, c in a.terms.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = tuple(total_derivative(DiffPoly({key: 1}), axis).terms.items())
+            for k, m in row:
+                v = c if m == 1 else -c if m == -1 else c * m
+                prev = acc.get(k)
+                if prev is None:
+                    acc[k] = v
+                else:
+                    v = prev + v
+                    if v == 0:
+                        del acc[k]
+                    else:
+                        acc[k] = v
+        return DiffPoly(acc)
 
 
 def var_u(f) -> DiffPoly:

@@ -234,6 +234,32 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, capsys, command, content, posit
     assert captured.err == f"error (ParseError): {message}\n"
 
 
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    # a file that starts with a UTF-8 BOM reads as the file without it
+    text = (DATA / "example_eg.pb").read_bytes()
+    bom = tmp_path / "bom.pb"
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    outputs = []
+    for path in (DATA / "example_eg.pb", bom):
+        assert run_cli(["check", str(path)]) == 0
+        check = capsys.readouterr().out
+        code, payload = run_json(capsys, ["normalize", str(path), "--format", "json"])
+        assert code == 0
+        outputs.append((check, payload))
+    assert outputs[0] == outputs[1]
+
+
+def test_byte_order_mark_in_mid_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bom.pb"
+    bad.write_bytes(b"order = 2;\n  \xef\xbb\xbftheta { }\n")
+    code, payload = run_json_error(capsys, ["check", str(bad), "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ParseError",
+        "message": "line 2, col 3: unexpected character '\\ufeff'",
+    }
+
+
 def test_uncaught_library_error_is_json(capsys, monkeypatch):
     from thetacalc import cli
     from thetacalc.errors import InternalInconsistency

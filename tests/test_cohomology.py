@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_elimination import reference_solve
 
-from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
+from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
+    BlockOperator,
     _ad_p1_column,
     block_operator,
     bockstein_split,
@@ -302,6 +303,25 @@ def test_block_operator_matches_direct_solve():
             for target in outside:
                 assert reference_solve(cols, target) is None
                 assert op.solve(target) is None, (d, w)
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_block_columns_derive_each_monomial_once(monkeypatch, w):
+    # the block's Euler sweeps share one derivative table: total_derivative
+    # runs once per distinct (monomial, axis), always on a unit monomial
+    from thetacalc import variational
+
+    calls = []
+
+    def counting(a, axis):
+        calls.append((tuple(a.terms.items()), axis))
+        return total_derivative(a, axis)
+
+    monkeypatch.setattr(variational, "total_derivative", counting)
+    BlockOperator(7, w)
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert all(len(terms) == 1 and terms[0][1] == 1 for terms, _ in calls)
 
 
 # -- structural lemma verifiers ---------------------------------------------
