@@ -25,12 +25,29 @@ through it, replaying the recorded elimination on each weight block's
 right-hand side; the normalizer and verify_distinctness both split their
 components with decompose_h2, and verify_bockstein_injective reads the
 pivots of the weight-one block.  Memory is bounded by the blocks touched
-(about 1.4 MB for two order-6 conjugates).
+(about 0.8 MB for two order-6 conjugates).
 
-The generator and split-class columns of a block, and the columns of
-verify_varder_lemma, are built through one variational._DerivativeTable,
-so their Euler sweeps derive each monomial once.  The table is local to
-the build and dropped with the columns once the block is factorized.
+A block is built and solved on its odd-order coordinates only.  Each
+column and right-hand side is var_theta of a super-degree-2 density; its
+terms carry one theta factor th^(s,t) each, and a term is odd-order when
+s+t is odd.  var_theta of a bivector density is a skew operator
+S = sum s_b D^b applied to theta, and the D^b coefficient of
+S + S^dagger = 0 reads
+
+    (1 + (-1)^|b|) s_b + sum over c > b of (-1)^|c| C(c,b) D^(c-b) s_c = 0,
+
+so for |b| even s_b follows from higher orders, and by downward
+induction S is zero when its odd-order coefficients are.  Dropping the
+even-order rows therefore keeps every column dependency, the feasibility
+of each right-hand side and the pivot set, hence the solutions, with
+about half the rows.
+
+The generator columns are expanded directly by Leibniz (_ad_p1_column),
+generating only odd-order terms.  They, the split-class columns and the
+columns of verify_varder_lemma are built through one
+variational._DerivativeTable, so each monomial is derived once per axis;
+verify_nontriv_lemma runs the variations of its brackets through one
+table per degree.  A table is local to its batch and dropped with it.
 There is no table across blocks: one that grows with the process costs
 more memory than it saves time (see variational).
 """
@@ -39,12 +56,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple, Optional
 
 from .algebra import (
     DiffPoly,
     Grade,
     _accumulate,
+    _partials,
     _theta_insert,
     _ufactor_lower,
     _ufactors_mul,
@@ -54,8 +73,8 @@ from .algebra import (
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization, poly_rank, solve_poly_system
 from .rationals import QQ
-from .schouten import pst, schouten, standard_leading_term
-from .variational import Functional, _DerivativeTable, _euler_operator, var_theta, var_u
+from .schouten import _bracket, _variations, pst, schouten, standard_leading_term
+from .variational import Functional, _DerivativeTable, _euler_operator, var_theta
 
 
 def delta(a: DiffPoly) -> DiffPoly:
@@ -216,15 +235,57 @@ def evolutionary_field(g: DiffPoly) -> Functional:
     return Functional(mul(g, DiffPoly.theta(0, 0)))
 
 
-def _ad_p1_column(m: DiffPoly, derivation=None) -> DiffPoly:
-    """theta-derivative coordinates of ad_p1 of the evolutionary field m*th.
+def _ad_p1_column(m: DiffPoly, table=None) -> DiffPoly:
+    """Odd-order coordinates of var_theta(delta(m*th)), the column of ad_p1
+    on the evolutionary field m*th, for a theta-free m.
 
-    The coefficient type of m is kept: an int m gives an int column.
-    derivation is the block's _DerivativeTable (total_derivative when
-    None, as in var_theta).
+    delta(m*th) = sum over alpha = (s, T) of a_alpha th^alpha th with
+    a_alpha = dm/du^(s,T-1), so its theta-derivative is
+    sum (-D_x)^s (-D_y)^T (a_alpha th) - a_alpha th^alpha.  Leibniz
+    expands the first part into C(s,i) C(T,j) D_x^i D_y^j(a_alpha)
+    th^(s-i,T-j), and only the terms with (s-i)+(T-j) odd are generated;
+    the i = j = 0 term meets -a_alpha th^alpha, and when s+T is odd the
+    two add to -2 a_alpha th^alpha (when it is even, both are dropped).
+    The mixed derivatives of the monomials of a_alpha come from
+    table.power (a fresh _DerivativeTable when None).  The coefficient
+    type of m is kept: an int m gives an int column.
     """
-    density = delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1})))
-    return _euler_operator(density, "theta", derivation)
+    if table is None:
+        table = _DerivativeTable()
+    power = table.power
+    acc = {}
+    for s, by_t in _partials(m.terms, "u").items():
+        for t, a in by_t.items():
+            T = t + 1
+            sign = -1 if (s + T) & 1 else 1
+            for key, c in a.terms.items():
+                # a constant has no derivatives: only its i = j = 0 term is left
+                imax, jmax = (0, 0) if key == (0, (), ()) else (s, T)
+                for i in range(imax + 1):
+                    bi = sign * comb(s, i)
+                    # (s - i) + (T - j) odd
+                    for j in range((s - i + T + 1) & 1, jmax + 1, 2):
+                        mult = bi * comb(T, j) if i or j else -2
+                        th = ((s - i, T - j),)
+                        v = c * mult
+                        for (upow, ufs, _), n in power(key, i, j):
+                            k = (upow, ufs, th)
+                            val = v * n
+                            prev = acc.get(k)
+                            if prev is None:
+                                acc[k] = val
+                            else:
+                                val = prev + val
+                                if val == 0:
+                                    del acc[k]
+                                else:
+                                    acc[k] = val
+    return DiffPoly(acc)
+
+
+def _odd_part(a: DiffPoly) -> DiffPoly:
+    """The terms of a var_theta output whose one theta th^(s,t) has s+t odd."""
+    return DiffPoly({k: c for k, c in a.terms.items() if sum(k[2][0]) & 1})
 
 
 class BlockSolution(NamedTuple):
@@ -244,6 +305,7 @@ class BlockOperator:
     generator columns alone, so a right-hand side in their span solves
     with c = 0 and chi = 0; for genuine cocycles the class columns are
     independent of the generators and the split is the unique one.
+    Rows are the odd-order coordinates only (see the module docstring).
     The columns live only while the block is factorized.
     """
 
@@ -254,16 +316,17 @@ class BlockOperator:
         quot = theta_quotient_basis(3, d) if w == 1 else []
         self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
         # unit monomials with int coefficients keep the generator and
-        # split-class columns integral, Euler-operator sweeps included;
-        # their sweeps share one derivative table, dropped with the columns
+        # split-class columns integral; the generators' mixed derivatives
+        # and the split-class sweeps share one derivative table, dropped
+        # with the columns
         table = _DerivativeTable()
         columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in self._x_keys]
         self._c_index = None
         if w == 0 and d % 2 == 1:
             self._c_index = len(columns)
-            columns.append(var_theta(pst(d, 0).density))
+            columns.append(_odd_part(var_theta(pst(d, 0).density)))
         columns += [
-            _euler_operator(bockstein_split(DiffPoly({k: 1})), "theta", table)
+            _odd_part(_euler_operator(bockstein_split(DiffPoly({k: 1})), "theta", table))
             for k in self._chi_keys
         ]
         self._system = Factorization(columns)
@@ -275,9 +338,17 @@ class BlockOperator:
         pivots = self._system.pivot_columns
         return all(j in pivots for j in range(n - len(self._chi_keys), n))
 
-    def solve(self, rhs: DiffPoly) -> Optional[BlockSolution]:
-        """Split the theta variational derivative of a block, or None."""
-        sol = self._system.solve(rhs)
+    def solve(self, density: DiffPoly) -> Optional[BlockSolution]:
+        """Split the weight-w bivector block density, or None.
+
+        The system is read on the odd-order coordinates of
+        var_theta(density); a bivector density gives a skew operator, so
+        they decide it (see the module docstring).  Raises ValueError
+        when the density does not have super degree two.
+        """
+        if not density.is_zero() and density.super_degree() != 2:
+            raise ValueError("BlockOperator.solve expects a bivector block density")
+        sol = self._system.solve(_odd_part(var_theta(density)))
         if sol is None:
             return None
         x = DiffPoly({k: v for k, v in zip(self._x_keys, sol) if v != 0})
@@ -330,7 +401,7 @@ def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
     chi = DiffPoly.zero()
     x_density = DiffPoly.zero()
     for w, block in P_d.density.weight_components().items():
-        part = block_operator(d, w).solve(var_theta(block))
+        part = block_operator(d, w).solve(block)
         if part is None:
             raise InternalInconsistency(
                 f"no decomposition at degree {d}, weight {w}"
@@ -500,16 +571,22 @@ def verify_nontriv_lemma(d: int) -> bool:
     quot = theta_quotient_basis(3, d)
     if not quot:
         return True
-    # int unit monomials keep schouten and the Euler operators on ints
-    imgs = [Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))) for q in quot]
-    n = len(imgs)
+    # int unit monomials keep the brackets and the Euler operators on ints;
+    # each split image is u-dependent of super degree two, so its bracket
+    # is read off its variations, computed once
+    variations = [
+        _variations(Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))))
+        for q in quot
+    ]
+    n = len(variations)
+    table = _DerivativeTable()
     brk = {}
     for i in range(n):
         for j in range(i, n):
-            F = schouten(imgs[i], imgs[j])
+            f = _bracket(variations[i], variations[j], 2).density
             # coordinates where a super-3 functional vanishes iff both
             # variational derivatives do
-            brk[(i, j)] = (var_theta(F.density), var_u(F.density))
+            brk[(i, j)] = (_euler_operator(f, "theta", table), _euler_operator(f, "u", table))
     if n == 1:
         v = brk[(0, 0)]
         return not (v[0].is_zero() and v[1].is_zero())

@@ -37,8 +37,8 @@ from .rationals import QQ, ZERO
 class SparseSystem:
     """A x = b with integer coefficient rows and a rational rhs.
 
-    Built from polynomial columns and an optional polynomial rhs;
-    _eliminate reduces the rows in place.
+    Built from polynomial columns and an optional polynomial rhs (all
+    int zeros when it is absent); _eliminate reduces the rows in place.
     """
 
     def __init__(self, columns, rhs=None):
@@ -51,11 +51,16 @@ class SparseSystem:
             for key, c in terms.items():
                 if c:
                     rows[key][j] = int(c.numerator) * (s // int(c.denominator))
-        b = {k: c for k, c in rhs.terms.items() if c} if rhs is not None else {}
         self.ncols = len(self.scales)
-        self.keys = sorted(set(rows) | set(b))
+        if rhs is None:
+            self.keys = sorted(rows)
+            # int zeros: _eliminate tests them on every update
+            self.rhs = [0] * len(self.keys)
+        else:
+            b = {k: c for k, c in rhs.terms.items() if c}
+            self.keys = sorted(set(rows) | set(b))
+            self.rhs = [QQ(b.get(k, 0)) for k in self.keys]
         self.rows = [rows.get(k, {}) for k in self.keys]
-        self.rhs = [QQ(b.get(k, 0)) for k in self.keys]
 
     def _eliminate(self, ncols: int, rows, rhs, *, on_pivot=None):
         """Fraction-free Gauss-Jordan elimination of rows and rhs in place.
@@ -201,15 +206,18 @@ class Factorization:
         targets, ops = self._targets, self._ops
         for piv, lo, hi in self._steps:
             r = vec[piv]
-            for i, (a, b, g) in zip(targets[lo:hi], ops[lo:hi]):
-                v = vec[i]
-                if r:
-                    v = a * v - b * r
-                elif v and (a != 1 or g != 1):
-                    v = a * v
-                else:
-                    continue
-                vec[i] = v / g if g != 1 else v
+            if r:
+                for i, (a, b, g) in zip(targets[lo:hi], ops[lo:hi]):
+                    v = a * vec[i] - b * r
+                    vec[i] = v / g if g != 1 else v
+                continue
+            # with r zero a row operation only rescales its target
+            for i, (a, _, g) in zip(targets[lo:hi], ops[lo:hi]):
+                if a != 1 or g != 1:
+                    v = vec[i]
+                    if v:
+                        v = a * v
+                        vec[i] = v / g if g != 1 else v
         if any(vec[i] for i in self._free_rows):
             return None
         sol = [ZERO] * self.ncols

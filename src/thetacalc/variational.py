@@ -27,13 +27,16 @@ The D of the sweeps is a parameter of the private _euler_operator.  A
 caller that runs the operators on a batch of densities, such as the
 columns of one coboundary block, passes a _DerivativeTable: it derives
 each (axis, monomial) once, by total_derivative on the unit monomial, and
-spreads each coefficient over that row.  The columns of a block share
-most of their monomials: the block builds of two order-6 conjugates
-differentiated 18,445 monomials, of which 3,505 are distinct within
-their block.  The table lives only as long as its batch.  One process-wide table for the same callers was measured
-and rejected: it keeps every monomial ever derived, and on two order-6
-conjugates it raised peak RSS from 20.2 to 21.7 MB for a 3% gain in
-wall time.  var_theta and var_u stay on total_derivative itself, since
+spreads each coefficient over that row; its power method builds the mixed
+derivatives D_x^i D_y^j of a monomial from the same rows, for the direct
+expansion of the coboundary columns (see cohomology).  The columns of a
+block share most of their monomials: the block builds of two order-6
+conjugates differentiated 18,445 monomials, of which 3,505 are distinct
+within their block.  The table lives only as long as its batch.  One
+process-wide table for the same callers was measured and rejected: it
+keeps every monomial ever derived, and on two order-6 conjugates it
+raised peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
+var_theta and var_u stay on total_derivative itself, since
 one density has no repeats to share.
 """
 
@@ -118,12 +121,41 @@ class _DerivativeTable:
     and c * m otherwise, which gives the values and coefficient types of
     total_derivative itself.  A table is meant to be dropped with its
     batch: it holds every monomial the batch's sweeps reached.
+
+    power(key, i, j) gives D_x^i D_y^j of a unit monomial in the same
+    form, memoized per (key, i, j) and built from the rows, so a mixed
+    derivative of any order still derives each (monomial, axis) once.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_powers")
 
     def __init__(self):
         self._rows = {"x": {}, "y": {}}
+        self._powers = {}
+
+    def _row(self, key, axis):
+        rows = self._rows[axis]
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = tuple(total_derivative(DiffPoly({key: 1}), axis).terms.items())
+        return row
+
+    def power(self, key, i: int, j: int) -> tuple:
+        """D_x^i D_y^j of the unit monomial key, as a tuple of (key, int)."""
+        if not (i or j):
+            return ((key, 1),)
+        memo = (key, i, j)
+        out = self._powers.get(memo)
+        if out is None:
+            # (i, j) is dy of (i, j-1), and (i, 0) is dx of (i-1, 0)
+            prev = self.power(key, i, j - 1) if j else self.power(key, i - 1, 0)
+            axis = "y" if j else "x"
+            acc = {}
+            for k, m in prev:
+                for k2, m2 in self._row(k, axis):
+                    acc[k2] = acc.get(k2, 0) + m * m2
+            out = self._powers[memo] = tuple((k, v) for k, v in acc.items() if v)
+        return out
 
     def __call__(self, a: DiffPoly, axis: str) -> DiffPoly:
         rows = self._rows[axis]
@@ -131,7 +163,7 @@ class _DerivativeTable:
         for key, c in a.terms.items():
             row = rows.get(key)
             if row is None:
-                row = rows[key] = tuple(total_derivative(DiffPoly({key: 1}), axis).terms.items())
+                row = self._row(key, axis)
             for k, m in row:
                 v = c if m == 1 else -c if m == -1 else c * m
                 prev = acc.get(k)

@@ -1,5 +1,5 @@
-"""Reference Euler operator, total derivative and partial derivative,
-for tests only.
+"""Reference Euler operator, total derivative, partial derivative and
+coboundary column, for tests only.
 
 reference_partial is the per-index partial derivative that
 thetacalc.algebra replaced by its one-pass kernel: one scan over every
@@ -21,9 +21,17 @@ running t downwards, and the per-s sums are then combined the same way
 with dx.  It takes one reference_partial per index, differentiates with
 reference_total_derivative and never lifts to ints, so it shares no code
 with the production kernels beyond DiffPoly and the product helpers.
+
+reference_ad_p1_column is the coboundary column that thetacalc.cohomology
+replaced by its direct Leibniz expansion: var_theta of the density
+delta(m*th), all coordinates, even and odd order, by the Horner sweeps
+that test_euler_operators_match_two_loop_reference checks against
+reference_euler.
 """
 
-from thetacalc.algebra import DiffPoly, _accumulate, _theta_insert, _ufactors_mul
+from thetacalc.algebra import DiffPoly, _accumulate, _theta_insert, _ufactors_mul, mul
+from thetacalc.cohomology import delta
+from thetacalc.variational import var_theta
 
 
 def _ufactor_set(ufs, idx, e):
@@ -122,3 +130,8 @@ def reference_euler(f, kind):
     for s in range(smax, -1, -1):
         acc = -reference_total_derivative(acc, "x") + by_s[s]
     return acc
+
+
+def reference_ad_p1_column(m):
+    """theta-derivative coordinates of ad_p1 of the evolutionary field m*th."""
+    return var_theta(delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
+from reference_euler import reference_ad_p1_column
 
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
@@ -25,7 +26,7 @@ from thetacalc.errors import NotACocycle
 from thetacalc.linsolve import poly_rank, solve_poly_system
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
-from thetacalc.variational import Functional, var_theta
+from thetacalc.variational import Functional, _DerivativeTable, var_theta
 
 u = DiffPoly.u
 th = DiffPoly.theta
@@ -232,7 +233,7 @@ def test_decompose_unique_against_pivot_order():
         tags = []
         gens = [m.as_poly() for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
         for m in reversed(gens):
-            cols.append(_ad_p1_column(m))
+            cols.append(reference_ad_p1_column(m))
             tags.append(("X", None))
         if w == 1:
             for j, q in enumerate(theta_quotient_basis(3, d)):
@@ -256,7 +257,7 @@ def test_decompose_unique_against_pivot_order():
 def _reference_block(d, w):
     """Generator basis and columns of the (d, w) block, built directly."""
     basis = [m.as_poly() for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
-    cols = [_ad_p1_column(m) for m in basis]
+    cols = [reference_ad_p1_column(m) for m in basis]
     has_c = w == 0 and d % 2 == 1
     if has_c:
         cols.append(var_theta(pst(d, 0).density))
@@ -280,29 +281,141 @@ def test_block_operator_matches_direct_solve():
     import random
 
     rng = random.Random(17)
-    foreign = th(9, 9) * th(8, 8)  # a row key no block column reaches
+    foreign = th(9, 9) * th(8, 7)  # its var_theta 2*th(17,16) is a row no block reaches
     for d in range(1, 8):
         for w in range(4):
             basis, has_c, quot, cols = _reference_block(d, w)
             op = block_operator(d, w)
+            # the densities whose var_theta are the columns
+            densities = [delta(mul(m, th(0, 0))) for m in basis]
+            if has_c:
+                densities.append(pst(d, 0).density)
+            densities += [bockstein_split(q) for q in quot]
             rhs = DiffPoly.zero()
-            for col in cols:
-                rhs = rhs + col.scale(QQ(rng.randint(-3, 3), rng.randint(1, 3)))
-            sol = reference_solve(cols, rhs)
+            for dens in densities:
+                rhs = rhs + dens.scale(QQ(rng.randint(-3, 3), rng.randint(1, 3)))
+            sol = reference_solve(cols, var_theta(rhs))
             assert sol is not None
             assert tuple(op.solve(rhs)) == _split_reference(sol, basis, has_c, quot), (d, w)
             outside = [foreign]
-            keys = sorted({k for col in cols for k in col.terms})
             unit = next(
-                (DiffPoly({k: QQ(1)}) for k in keys
-                 if reference_solve(cols, DiffPoly({k: QQ(1)})) is None),
+                (m.as_poly() for m in enumerate_basis(Grade(d, 2, w))
+                 if reference_solve(cols, var_theta(m.as_poly())) is None),
                 None,
             )
             if unit is not None:
                 outside.append(unit + rhs)
             for target in outside:
-                assert reference_solve(cols, target) is None
+                assert reference_solve(cols, var_theta(target)) is None
                 assert op.solve(target) is None, (d, w)
+
+
+def test_block_solve_rejects_a_theta_derivative():
+    # solve takes the bivector density, not its var_theta
+    with pytest.raises(ValueError):
+        block_operator(3, 1).solve(var_theta(bockstein_split(theta_monomial((2, 1, 0)))))
+
+
+def _odd_order(poly):
+    """The terms whose one theta factor th^(s,t) has s + t odd."""
+    return DiffPoly({k: c for k, c in poly.terms.items() if sum(k[2][0]) % 2 == 1})
+
+
+def _typed(poly):
+    return {k: (c, type(c)) for k, c in poly.terms.items()}
+
+
+def test_ad_p1_column_is_the_odd_part_of_the_horner_column():
+    # every generator monomial of the blocks d <= 8, w <= 4, as an int unit
+    # monomial through one table per block (as BlockOperator builds them)
+    # and as a QQ monomial on its own
+    count = 0
+    for d in range(1, 9):
+        for w in range(5):
+            table = _DerivativeTable()
+            for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
+                unit = DiffPoly({m.key: 1})
+                want = _odd_order(reference_ad_p1_column(unit))
+                assert _typed(_ad_p1_column(unit, table)) == _typed(want), m.key
+                assert _typed(_ad_p1_column(m.as_poly())) == _typed(
+                    _odd_order(reference_ad_p1_column(m.as_poly()))
+                ), m.key
+                count += 1
+    assert count > 1000
+
+
+GEN_INDEX = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda i: i != (0, 0))
+INT = st.integers(-5, 5).filter(bool)
+RATIONAL = st.builds(QQ, st.integers(-7, 7).filter(bool), st.integers(2, 5))
+
+
+@st.composite
+def generator_poly(draw, coeff):
+    """A theta-free polynomial, the density g of a field g*th."""
+    terms = {}
+    for upow, ufs in draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.dictionaries(GEN_INDEX, st.integers(1, 2), max_size=2)),
+            min_size=1,
+            max_size=5,
+        )
+    ):
+        terms[(upow, tuple(sorted(ufs.items())), ())] = draw(coeff)
+    return DiffPoly(terms)
+
+
+@pytest.mark.parametrize(
+    "coeff", [INT, RATIONAL, st.one_of(INT, RATIONAL)], ids=["int", "qq", "mixed"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ad_p1_column_matches_horner_column_on_generator_polynomials(coeff, data):
+    batch = data.draw(st.lists(generator_poly(coeff), min_size=1, max_size=3))
+    table = _DerivativeTable()  # shared by the batch, as in a block
+    for m in batch:
+        want = _typed(_odd_order(reference_ad_p1_column(m)))
+        assert _typed(_ad_p1_column(m)) == want
+        assert _typed(_ad_p1_column(m, table)) == want
+
+
+@st.composite
+def bivector_pair(draw):
+    """(rho, sigma): super-degree-2 densities of one grade.
+
+    sigma is rho plus a total divergence dx(a) + dy(b), or rho plus one
+    basis monomial of the grade.
+    """
+    d = draw(st.integers(1, 7))
+    w = draw(st.integers(0, 3))
+    coeff = st.one_of(INT, RATIONAL)
+
+    def combination(grade):
+        basis = enumerate_basis(grade)
+        if not basis:
+            return DiffPoly.zero()
+        out = DiffPoly.zero()
+        for i in draw(st.lists(st.integers(0, len(basis) - 1), max_size=4)):
+            out = out + basis[i].as_poly().scale(draw(coeff))
+        return out
+
+    rho = combination(Grade(d, 2, w))
+    if draw(st.booleans()):
+        sigma = rho + combination(Grade(d - 1, 2, w)).dx() + combination(Grade(d - 1, 2, w)).dy()
+    else:
+        basis = enumerate_basis(Grade(d, 2, w))
+        assume(basis)
+        sigma = rho + draw(st.sampled_from(basis)).as_poly().scale(draw(coeff))
+    return rho, sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(bivector_pair())
+def test_odd_order_coordinates_decide_bivector_equality(pair):
+    # a bivector density gives a skew operator, whose even-order
+    # coefficients follow from its odd-order ones
+    rho, sigma = pair
+    vr, vs = var_theta(rho), var_theta(sigma)
+    assert (vr == vs) == (_odd_order(vr) == _odd_order(vs))
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -347,7 +460,7 @@ def test_splitting_injective_small_range():
     # to the rank of the generator columns
     for d in range(1, 11):
         quot = theta_quotient_basis(3, d)
-        gen = [_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
+        gen = [reference_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
         b = [var_theta(bockstein_split(q)) for q in quot]
         want = poly_rank(gen + b) == poly_rank(gen) + len(quot)
         assert verify_bockstein_injective(d) == want

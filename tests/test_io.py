@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
 from thetacalc.deltaform import DeltaForm, delta_to_theta, theta_to_delta
 from thetacalc.errors import DegreeMismatch, OddPower, ParseError
-from thetacalc.parser import parse
+from thetacalc.parser import BracketSpecFile, parse
 from thetacalc.printer import format_bracket_file, format_poly
 from thetacalc.rationals import QQ
 from thetacalc.schouten import BracketSeries, pst, standard_leading_term
@@ -182,6 +183,45 @@ def test_print_parse_fixed_point_on_files():
         twice = format_bracket_file(parse(once))
         assert once == twice
         assert parse(once) == parse(text)
+
+
+COEFF = st.one_of(
+    st.integers(-5, 5).filter(bool), st.builds(QQ, st.integers(-7, 7).filter(bool), st.integers(2, 5))
+)
+
+
+@st.composite
+def graded_poly(draw, d, p):
+    """A nonzero sum of Grade(d, p, w) monomials, the weights 0-2 mixed."""
+    monos = [m for w in range(3) for m in enumerate_basis(Grade(d, p, w))]
+    picks = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique_by=lambda m: m.key))
+    return DiffPoly({m.key: draw(COEFF) for m in picks})
+
+
+@st.composite
+def bracket_specs(draw):
+    """A theta-form or delta-form spec of order 1-6 with int and QQ entries."""
+    order = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        degrees = draw(st.sets(st.integers(1, order + 1), min_size=1))
+        return BracketSpecFile(
+            order, "theta", densities={d: draw(graded_poly(d, 2)) for d in sorted(degrees)}
+        )
+    coefficients = {}
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, order))
+        k1 = draw(st.integers(0, k + 1))
+        k2 = draw(st.integers(0, k + 1 - k1))
+        coefficients[(k, k1, k2)] = draw(graded_poly(k - k1 - k2 + 1, 0))
+    return BracketSpecFile(order, "delta", delta=DeltaForm(coefficients))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_specs())
+def test_bracket_file_roundtrip(spec):
+    text = format_bracket_file(spec)
+    assert parse(text) == spec
+    assert format_bracket_file(parse(text)) == text
 
 
 def test_format_zero():
