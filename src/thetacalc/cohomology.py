@@ -71,7 +71,7 @@ from .algebra import (
     mul,
 )
 from .errors import InternalInconsistency, NotACocycle
-from .linsolve import Factorization, poly_rank, solve_poly_system
+from .linsolve import Factorization
 from .rationals import QQ
 from .schouten import _bracket, _variations, pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, _euler_operator, var_theta
@@ -334,9 +334,7 @@ class BlockOperator:
     @property
     def splits_independent(self) -> bool:
         """Whether the split-class columns stay independent modulo the generators."""
-        n = self._system.ncols
-        pivots = self._system.pivot_columns
-        return all(j in pivots for j in range(n - len(self._chi_keys), n))
+        return self._system.independent_from(self._system.ncols - len(self._chi_keys))
 
     def solve(self, density: DiffPoly) -> Optional[BlockSolution]:
         """Split the weight-w bivector block density, or None.
@@ -441,7 +439,9 @@ def verify_square_lemma(k: int) -> bool:
     span of products of pairs of its monomials.  Two exact passes:
 
     1. When that span meets the image of dx only in zero, any exact
-       square is already zero.
+       square is already zero.  The products are distinct monomials, so
+       this holds exactly when they are independent modulo the dx
+       images.
 
     2. Otherwise split the preimage space by the outer index sum: the
        half with sum >= k cannot reach the span of monomials seen by
@@ -468,8 +468,7 @@ def verify_square_lemma(k: int) -> bool:
         return True
     basis = theta_basis(4, 2 * k - 1)
     dx_cols = [b.dx() for b in basis]
-    r_dx = poly_rank(dx_cols)
-    if r_dx + poly_rank(prods) == poly_rank(dx_cols + prods):
+    if Factorization(dx_cols + prods).independent_from(len(dx_cols)):
         return True
 
     # pass 2: blockwise chain analysis, on the preimages and images of pass 1
@@ -482,13 +481,11 @@ def verify_square_lemma(k: int) -> bool:
         else:
             upper_images.append(image)
     if upper_images and seen:
+        # the unit monomials are independent, so they stay independent
+        # modulo the upper images exactly when no nonzero combination of
+        # upper images lives on the seen monomials alone
         units = [DiffPoly({key: QQ(1)}) for key in sorted(seen)]
-        leak = (
-            poly_rank(upper_images)
-            + len(units)
-            - poly_rank(upper_images + units)
-        )
-        if leak:
+        if not Factorization(upper_images + units).independent_from(len(upper_images)):
             raise InternalInconsistency(
                 f"outer-sum split leaks at k={k}; the check cannot decide"
             )
@@ -510,7 +507,7 @@ def verify_square_lemma(k: int) -> bool:
                 mono = theta_monomial(tuple(sorted(idx, reverse=True)))
                 chain.append(_restrict(mono.dx(), block_keys))
             rhs = _restrict(target, block_keys)
-            if solve_poly_system(chain, rhs) is not None:
+            if Factorization(chain).solve(rhs) is not None:
                 raise InternalInconsistency(
                     f"chain system feasible at k={k}, pair ({s},{t}); "
                     "the check cannot decide"
@@ -560,17 +557,28 @@ def _poly_gcd(a, b):
     return a
 
 
+# the largest quotient dimension verify_nontriv_lemma decides
+NONTRIV_MAX_DIM = 2
+
+
 def verify_nontriv_lemma(d: int) -> bool:
     """Nonzero reduced classes have self-bracket obstructions.
 
     For every nonzero chi in the span of the quotient basis at super
     degree three, the self-bracket of its split image must be nonzero.
     The quadratic form in the basis coefficients is tested for common
-    real zeros coordinate by coordinate.
+    real zeros coordinate by coordinate.  Raises InternalInconsistency,
+    before any bracket is formed, when the quotient dimension exceeds
+    NONTRIV_MAX_DIM.
     """
     quot = theta_quotient_basis(3, d)
     if not quot:
         return True
+    n = len(quot)
+    if n > NONTRIV_MAX_DIM:
+        raise InternalInconsistency(
+            f"nontriviality check supports quotient dimension <= {NONTRIV_MAX_DIM}, got {n}"
+        )
     # int unit monomials keep the brackets and the Euler operators on ints;
     # each split image is u-dependent of super degree two, so its bracket
     # is read off its variations, computed once
@@ -578,7 +586,6 @@ def verify_nontriv_lemma(d: int) -> bool:
         _variations(Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))))
         for q in quot
     ]
-    n = len(variations)
     table = _DerivativeTable()
     brk = {}
     for i in range(n):
@@ -590,35 +597,30 @@ def verify_nontriv_lemma(d: int) -> bool:
     if n == 1:
         v = brk[(0, 0)]
         return not (v[0].is_zero() and v[1].is_zero())
-    if n == 2:
-        f11, f12, f22 = brk[(0, 0)], brk[(0, 1)], brk[(1, 1)]
-        # a=1, b=0 corner
-        if f11[0].is_zero() and f11[1].is_zero():
-            return False
-        # b != 0: common real roots of v11 t^2 + 2 v12 t + v22 per coordinate
-        keys = set()
-        polys = []
-        for slot in (0, 1):
-            for key in (
-                set(f11[slot].terms) | set(f12[slot].terms) | set(f22[slot].terms)
-            ):
-                # QQ, because _poly_gcd divides and ints would give floats
-                polys.append(
-                    [
-                        QQ(f22[slot].coefficient(key)),
-                        QQ(2 * f12[slot].coefficient(key)),
-                        QQ(f11[slot].coefficient(key)),
-                    ]
-                )
-        g = []
-        for p in polys:
-            g = _poly_gcd(g, p) if g else [c for c in p]
-        if not g or len(g) == 1:
-            return True  # no common root at all
-        if len(g) == 2:
-            return False  # a common rational root exists
-        disc = g[1] * g[1] - 4 * g[2] * g[0]
-        return disc < 0
-    raise InternalInconsistency(
-        f"nontriviality check supports quotient dimension <= 2, got {n}"
-    )
+    f11, f12, f22 = brk[(0, 0)], brk[(0, 1)], brk[(1, 1)]
+    # a=1, b=0 corner
+    if f11[0].is_zero() and f11[1].is_zero():
+        return False
+    # b != 0: common real roots of v11 t^2 + 2 v12 t + v22 per coordinate
+    polys = []
+    for slot in (0, 1):
+        for key in (
+            set(f11[slot].terms) | set(f12[slot].terms) | set(f22[slot].terms)
+        ):
+            # QQ, because _poly_gcd divides and ints would give floats
+            polys.append(
+                [
+                    QQ(f22[slot].coefficient(key)),
+                    QQ(2 * f12[slot].coefficient(key)),
+                    QQ(f11[slot].coefficient(key)),
+                ]
+            )
+    g = []
+    for p in polys:
+        g = _poly_gcd(g, p) if g else [c for c in p]
+    if not g or len(g) == 1:
+        return True  # no common root at all
+    if len(g) == 2:
+        return False  # a common rational root exists
+    disc = g[1] * g[1] - 4 * g[2] * g[0]
+    return disc < 0

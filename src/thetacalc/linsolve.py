@@ -9,9 +9,7 @@ Elimination is fraction-free over Python ints (Bareiss 1968; von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The pivot row is
 left undivided.  Every other row r holding f in the pivot column becomes
 (a*r - b*pr) / content, where g = gcd(pv, f), a = pv/g, b = f/g and
-content is the gcd of the new row's entries.  Only the right-hand side
-is rational; it goes through the same row operations, and a pivot
-unknown is rhs[piv] / rows[piv][col] times its column scale.
+content is the gcd of the new row's entries.
 
 The pivot rule (leftmost column, then the pivot row with the fewest
 nonzeros, index tie-break) depends only on row supports, and scaling a
@@ -20,9 +18,11 @@ free unknowns set to zero, are those of Gauss-Jordan elimination over
 QQ, and repeated runs produce identical solutions.  Arithmetic is
 exact; there is no tolerance anywhere.
 
-A Factorization eliminates a column set once and records the integer
-row operations; each later solve replays them on a rational right-hand
-side, so a coefficient matrix that recurs is reduced only once.
+Factorization is the one solver: it eliminates a column set once and
+records the integer row operations.  A right-hand side is reduced in
+one place, the replay of those operations in Factorization.solve, and
+only the right-hand side is rational; a pivot unknown is the reduced
+rhs of its row over the final pivot value, times its column scale.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .rationals import QQ, ZERO
 
 
 class SparseSystem:
-    """A x = b with integer coefficient rows and a rational rhs.
+    """The integer coefficient rows of a set of polynomial columns.
 
-    Built from polynomial columns and an optional polynomial rhs (all
-    int zeros when it is absent); _eliminate reduces the rows in place.
+    rhs is the all-zero int list of a system without a right-hand side.
+    It stays in _eliminate's signature, untouched, because the benchmark
+    tracer (perfbench/tracer.py) reads it there.
     """
 
-    def __init__(self, columns, rhs=None):
+    def __init__(self, columns):
         rows = defaultdict(dict)
         self.scales = []
         for j, col in enumerate(columns):
@@ -52,23 +53,17 @@ class SparseSystem:
                 if c:
                     rows[key][j] = int(c.numerator) * (s // int(c.denominator))
         self.ncols = len(self.scales)
-        if rhs is None:
-            self.keys = sorted(rows)
-            # int zeros: _eliminate tests them on every update
-            self.rhs = [0] * len(self.keys)
-        else:
-            b = {k: c for k, c in rhs.terms.items() if c}
-            self.keys = sorted(set(rows) | set(b))
-            self.rhs = [QQ(b.get(k, 0)) for k in self.keys]
-        self.rows = [rows.get(k, {}) for k in self.keys]
+        self.keys = sorted(rows)
+        self.rows = [rows[k] for k in self.keys]
+        self.rhs = [0] * len(self.keys)
 
-    def _eliminate(self, ncols: int, rows, rhs, *, on_pivot=None):
-        """Fraction-free Gauss-Jordan elimination of rows and rhs in place.
+    def _eliminate(self, ncols: int, rows, rhs, *, on_pivot):
+        """Fraction-free Gauss-Jordan elimination of rows in place.
 
-        on_pivot, when given, is called once per pivot column with the
-        pivot row, the other rows reduced and their (a, b, content)
-        triples: the row operations, in order, that Factorization
-        replays on a later right-hand side.
+        on_pivot is called once per pivot column with the pivot row, the
+        other rows reduced and their (a, b, content) triples: the row
+        operations, in order, that Factorization replays on a
+        right-hand side.  rhs is not read.
         """
         colindex = defaultdict(set)
         for i, r in enumerate(rows):
@@ -94,7 +89,6 @@ class SparseSystem:
             pivot_of[col] = piv
             pr = rows[piv]
             pv = pr[col]
-            rp = rhs[piv]
             targets = [i for i in holders if i != piv and rows[i].get(col)]
             ops = []
             for i in targets:
@@ -115,38 +109,10 @@ class SparseSystem:
                 if content != 1:
                     r = {k: v // content for k, v in r.items()}
                 rows[i] = r
-                if rp or rhs[i]:
-                    v = a * rhs[i] - b * rp
-                    rhs[i] = v / content if content != 1 else v
                 ops.append((a, b, content))
-            if on_pivot is not None:
-                on_pivot(piv, targets, ops)
+            on_pivot(piv, targets, ops)
             colindex[col] = {piv}
         return used, pivot_of
-
-
-def solve_poly_system(columns, rhs):
-    """Express rhs as a rational combination of the given polynomials.
-
-    Returns the coefficient list (free unknowns set to zero) or None
-    when rhs is outside the span.  After the full sweep every non-pivot
-    row is identically zero on the coefficient side, so feasibility is
-    just their rhs values.
-    """
-    system = SparseSystem(columns, rhs)
-    rows, b = system.rows, system.rhs
-    used, pivot_of = system._eliminate(system.ncols, rows, b)
-    if any(b[i] for i in range(len(rows)) if i not in used):
-        return None
-    sol = [ZERO] * system.ncols
-    for col, piv in pivot_of.items():
-        sol[col] = b[piv] * system.scales[col] / rows[piv][col]
-    return sol
-
-
-def poly_rank(columns) -> int:
-    system = SparseSystem(columns)
-    return len(system._eliminate(system.ncols, system.rows, system.rhs)[1])
 
 
 class Factorization:
@@ -155,8 +121,8 @@ class Factorization:
     The record holds, per pivot column, the pivot row and the range of
     its updates; an update is a target row index (all packed in one int
     array) and its integer (a, b, content) triple (interned, in one
-    tuple).  Solutions equal those of solve_poly_system on the same
-    columns.
+    tuple).  The replay in solve is the only place a right-hand side is
+    reduced, tested for feasibility and back-substituted.
     """
 
     __slots__ = ("ncols", "pivot_columns", "_row_of", "_steps", "_targets",
@@ -190,6 +156,16 @@ class Factorization:
             (col, piv, QQ(system.scales[col], rows[piv][col]))
             for col, piv in sorted(pivot_of.items())
         )
+
+    def independent_from(self, n: int) -> bool:
+        """Whether columns n, n+1, ... are independent modulo columns 0..n-1.
+
+        Pivot columns are taken leftmost first, so column j is a pivot
+        exactly when it is independent of columns 0..j-1; every column
+        from n on is then a pivot exactly when those columns are
+        independent modulo the span of the first n.
+        """
+        return all(j in self.pivot_columns for j in range(n, self.ncols))
 
     def solve(self, rhs):
         """Coefficients expressing the polynomial rhs over the columns.

@@ -12,8 +12,6 @@ except ImportError:
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)
-ONE = QQ(1)
-HALF = QQ(1, 2)
 
 
 def rat(p, q=1):

@@ -19,7 +19,7 @@ from thetacalc.cohomology import (
     verify_square_lemma,
     verify_varder_lemma,
 )
-from thetacalc.linsolve import poly_rank
+from thetacalc.linsolve import Factorization
 from thetacalc.normalizer import (
     build_normal_form,
     invariants_fast,
@@ -99,13 +99,13 @@ def test_criterion_5_basis_dimensions():
         d = 2 * k - 1
         want = (k - 2) // 3 + 1
         got = len(theta_quotient_basis(3, d))
-        rank = poly_rank([b.dx() for b in theta_basis(3, d - 1)])
+        rank = len(Factorization([b.dx() for b in theta_basis(3, d - 1)]).pivot_columns)
         ok = ok and got == want == len(theta_basis(3, d)) - rank
     for k in range(3, 9):
         d = 2 * k
         want = (k - 3) // 3 + 1
         got = len(theta_quotient_basis(3, d))
-        rank = poly_rank([b.dx() for b in theta_basis(3, d - 1)])
+        rank = len(Factorization([b.dx() for b in theta_basis(3, d - 1)]).pivot_columns)
         ok = ok and got == want == len(theta_basis(3, d)) - rank
     _report("5 quotient dimensions match the closed form and rank-nullity", ok, t0)
 

@@ -53,6 +53,30 @@ def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
     assert summary["linsolve.infeasible"] == 0
 
 
+def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
+    from thetacalc.cohomology import (
+        block_operator,
+        verify_bockstein_injective,
+        verify_square_lemma,
+        verify_varder_lemma,
+    )
+
+    block_operator.cache_clear()  # the Bockstein check must build its block
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # k = 5 reaches the chain systems of pass 2, k = 4 stops at pass 1
+        verdicts = [verify_square_lemma(4), verify_square_lemma(5),
+                    verify_varder_lemma(5), verify_bockstein_injective(5)]
+    finally:
+        tracer.uninstall()
+        block_operator.cache_clear()
+    assert verdicts == [True] * 4
+    summary = tracer.summary()
+    assert summary["linsolve.eliminate.calls"] > 0
+    assert summary["linsolve.rank"] > 0
+
+
 def test_cli_launcher_traces_one_parse_and_one_normalize(tmp_path):
     # the traced example_cli path: run_cli under the span wrappers
     example = PERFBENCH.parent / "tests" / "data" / "example_eg.pb"

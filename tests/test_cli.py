@@ -303,6 +303,24 @@ def test_verify_lemmas(capsys):
     assert all(payload["square"].values())
     assert all(payload["varder"].values())
     assert all(payload["nontriv"].values())
+    assert payload["nontriv_unchecked"] == []
+
+
+def test_verify_lemmas_reports_unchecked_degrees(capsys):
+    # d = 15 is the first degree whose quotient dimension (3) is too large
+    # for the nontriviality check
+    code, payload = run_json(
+        capsys, ["verify-lemmas", "--max-degree", "16", "--format", "json"]
+    )
+    assert code == 0
+    assert payload["nontriv_unchecked"] == [15]
+    assert "15" not in payload["nontriv"] and "16" in payload["nontriv"]
+
+    assert run_cli(["verify-lemmas", "--max-degree", "16"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("nontriv:")]
+    assert len(line) == 1
+    assert line[0].endswith("16:ok (unchecked: 15; quotient dimension above 2)")
+    assert " 15:" not in line[0]
 
 
 def test_self_test(capsys):

@@ -3,8 +3,10 @@ from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
 from reference_euler import reference_ad_p1_column
 
+from thetacalc import cohomology
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
+    NONTRIV_MAX_DIM,
     BlockOperator,
     _ad_p1_column,
     block_operator,
@@ -22,8 +24,8 @@ from thetacalc.cohomology import (
     verify_square_lemma,
     verify_varder_lemma,
 )
-from thetacalc.errors import NotACocycle
-from thetacalc.linsolve import poly_rank, solve_poly_system
+from thetacalc.errors import InternalInconsistency, NotACocycle
+from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional, _DerivativeTable, var_theta
@@ -112,7 +114,7 @@ def test_quotient_basis_sizes_match_rank_nullity():
     for p in (2, 3, 4):
         for d in range(1, 13):
             dim = len(theta_basis(p, d))
-            rank = poly_rank([b.dx() for b in theta_basis(p, d - 1)])
+            rank = len(Factorization([b.dx() for b in theta_basis(p, d - 1)]).pivot_columns)
             assert len(theta_quotient_basis(p, d)) == dim - rank, (p, d)
 
 
@@ -161,7 +163,7 @@ def test_reduce_exhaustive_difference_is_exact():
             diff = t - reduce_mod_dx(t)
             if diff.is_zero():
                 continue
-            assert solve_poly_system(dx_img, diff) is not None, (d, t)
+            assert Factorization(dx_img).solve(diff) is not None, (d, t)
 
 
 def test_reduce_rejects_mixed_input():
@@ -242,7 +244,7 @@ def test_decompose_unique_against_pivot_order():
         if w == 0:
             cols.append(var_theta(pst(d, 0).density))
             tags.append(("c", None))
-        sol = solve_poly_system(cols, var_theta(block))
+        sol = Factorization(cols).solve(var_theta(block))
         assert sol is not None
         for coeff, (kind, j) in zip(sol, tags):
             if kind == "c":
@@ -462,7 +464,9 @@ def test_splitting_injective_small_range():
         quot = theta_quotient_basis(3, d)
         gen = [reference_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
         b = [var_theta(bockstein_split(q)) for q in quot]
-        want = poly_rank(gen + b) == poly_rank(gen) + len(quot)
+        want = len(Factorization(gen + b).pivot_columns) == (
+            len(Factorization(gen).pivot_columns) + len(quot)
+        )
         assert verify_bockstein_injective(d) == want
         assert want, d
 
@@ -470,6 +474,16 @@ def test_splitting_injective_small_range():
 def test_nontriv_small_range():
     for d in range(1, 10):
         assert verify_nontriv_lemma(d)
+
+
+def test_nontriv_rejects_a_large_quotient_before_any_bracket(monkeypatch):
+    def no_bracket(*args):
+        raise AssertionError("a bracket was formed")
+
+    assert len(theta_quotient_basis(3, 15)) > NONTRIV_MAX_DIM
+    monkeypatch.setattr(cohomology, "_bracket", no_bracket)
+    with pytest.raises(InternalInconsistency, match="quotient dimension"):
+        verify_nontriv_lemma(15)
 
 
 def test_self_bracket_identity():

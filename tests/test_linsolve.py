@@ -8,7 +8,7 @@ from thetacalc.cohomology import (
     evolutionary_field,
     theta_monomial,
 )
-from thetacalc.linsolve import Factorization, poly_rank, solve_poly_system
+from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional
@@ -45,10 +45,18 @@ def system(draw):
 def test_kernel_matches_fraction_reference(sys_):
     cols, rhs = sys_
     want = reference_solve(cols, rhs)
-    assert solve_poly_system(cols, rhs) == want
     assert Factorization(cols).solve(rhs) == want
-    assert poly_rank(cols) == reference_rank(cols)
     assert len(Factorization(cols).pivot_columns) == reference_rank(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(column, max_size=3), st.lists(column, min_size=1, max_size=3), st.booleans())
+def test_independent_from_matches_the_rank_equation(a, b, dependent):
+    # a column combined from b[0] and a[0] makes the dependent case common
+    if dependent:
+        b = b + [b[0].scale(QQ(-2, 3)) + (a[0] if a else DiffPoly.zero())]
+    want = reference_rank(a + b) == reference_rank(a) + len(b)
+    assert Factorization(a + b).independent_from(len(a)) == want
 
 
 def _all_qq(values):
@@ -59,9 +67,9 @@ def test_solutions_are_rationals():
     # int columns and int rhs coefficients must not leak ints or floats
     cols = [DiffPoly({KEYS[0]: 2, KEYS[1]: 4}), DiffPoly({KEYS[1]: 3}), DiffPoly({KEYS[2]: 1})]
     rhs = DiffPoly({KEYS[0]: 1, KEYS[1]: 5})
-    for sol in (solve_poly_system(cols, rhs), Factorization(cols).solve(rhs)):
-        assert sol == [QQ(1, 2), QQ(1), QQ(0)]
-        assert _all_qq(sol)
+    sol = Factorization(cols).solve(rhs)
+    assert sol == [QQ(1, 2), QQ(1), QQ(0)]
+    assert _all_qq(sol)
 
     chi = theta_monomial((3, 2, 0))
     g = mul(DiffPoly.u(), DiffPoly.u(3, 1)).scale(QQ(2, 3))

@@ -14,7 +14,7 @@ from thetacalc.algebra import (
     partial_derivative,
     total_derivative,
 )
-from thetacalc.linsolve import solve_poly_system
+from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.variational import (
     Functional,
@@ -309,7 +309,7 @@ def divergence_decompose(a, grade=None):
     if d == 0:
         raise DecompositionError("degree-0 elements are never divergences")
     basis = [m.as_poly() for m in enumerate_basis(Grade(d - 1, p, w))]
-    sol = solve_poly_system([m.dx() for m in basis] + [m.dy() for m in basis], a)
+    sol = Factorization([m.dx() for m in basis] + [m.dy() for m in basis]).solve(a)
     if sol is None:
         raise DecompositionError("element is not a total divergence")
     n = len(basis)
