@@ -13,7 +13,6 @@ import re
 import sys
 
 from .cohomology import (
-    NONTRIV_MAX_DIM,
     theta_quotient_basis,
     verify_nontriv_lemma,
     verify_square_lemma,
@@ -131,30 +130,17 @@ def _cmd_verify_lemmas(args) -> int:
     n = args.max_degree
     square = {k: verify_square_lemma(k) for k in range(1, n + 1)}
     varder = {d: verify_varder_lemma(d) for d in range(1, n + 1)}
-    nontriv = {}
-    unchecked = []
-    for d in range(1, n + 1):
-        if len(theta_quotient_basis(3, d)) <= NONTRIV_MAX_DIM:
-            nontriv[d] = verify_nontriv_lemma(d)
-        else:
-            unchecked.append(d)
+    nontriv = {d: verify_nontriv_lemma(d) for d in range(1, n + 1)}
     payload = {
         "square": {str(k): v for k, v in square.items()},
         "varder": {str(d): v for d, v in varder.items()},
         "nontriv": {str(d): v for d, v in nontriv.items()},
-        "nontriv_unchecked": unchecked,
     }
     ok = all(square.values()) and all(varder.values()) and all(nontriv.values())
-    nontriv_line = "nontriv: " + " ".join(f"{d}:{'ok' if v else 'FAIL'}" for d, v in nontriv.items())
-    if unchecked:
-        nontriv_line += (
-            f" (unchecked: {' '.join(map(str, unchecked))};"
-            f" quotient dimension above {NONTRIV_MAX_DIM})"
-        )
     lines = [
         "square:  " + " ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in square.items()),
         "varder:  " + " ".join(f"{d}:{'ok' if v else 'FAIL'}" for d, v in varder.items()),
-        nontriv_line,
+        "nontriv: " + " ".join(f"{d}:{'ok' if v else 'FAIL'}" for d, v in nontriv.items()),
     ]
     _emit(payload, args.format, lines)
     return EXIT_OK if ok else EXIT_USAGE

@@ -536,49 +536,30 @@ def verify_bockstein_injective(d: int) -> bool:
     return block_operator(d, 1).splits_independent
 
 
-def _poly_gcd(a, b):
-    """gcd of univariate rational coefficient lists (ascending)."""
-
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, coeff in enumerate(b):
-                a[i + shift] -= f * coeff
-            strip(a)
-        a, b = b, a
-    return a
-
-
-# the largest quotient dimension verify_nontriv_lemma decides
-NONTRIV_MAX_DIM = 2
-
-
 def verify_nontriv_lemma(d: int) -> bool:
     """Nonzero reduced classes have self-bracket obstructions.
 
-    For every nonzero chi in the span of the quotient basis at super
-    degree three, the self-bracket of its split image must be nonzero.
-    The quadratic form in the basis coefficients is tested for common
-    real zeros coordinate by coordinate.  Raises InternalInconsistency,
-    before any bracket is formed, when the quotient dimension exceeds
-    NONTRIV_MAX_DIM.
+    For every nonzero chi in the span of the quotient basis q_1..q_n at
+    super degree three, the self-bracket of its split image B(chi) must
+    be nonzero.  With chi = sum a_i q_i and delta_ij the Kronecker delta,
+
+        [B(chi), B(chi)] = sum_{i <= j} (2 - delta_ij) a_i a_j [B(q_i), B(q_j)],
+
+    so each coordinate of its var_theta and var_u is a quadratic form in
+    a.  When the n(n+1)/2 pair columns (the coordinates of the
+    [B(q_i), B(q_j)], i <= j) are linearly independent, the coordinate
+    forms span every quadratic form in a; each a_i^2 is then a
+    combination of them, and a common zero forces a = 0.  This holds
+    over any field containing QQ, so no test for real roots is needed.
+
+    A zero diagonal column makes q_i itself a counterexample: False.
+    Otherwise full rank gives True, and a lower rank raises
+    InternalInconsistency, because the argument cannot decide the lemma
+    then.
     """
     quot = theta_quotient_basis(3, d)
     if not quot:
         return True
-    n = len(quot)
-    if n > NONTRIV_MAX_DIM:
-        raise InternalInconsistency(
-            f"nontriviality check supports quotient dimension <= {NONTRIV_MAX_DIM}, got {n}"
-        )
     # int unit monomials keep the brackets and the Euler operators on ints;
     # each split image is u-dependent of super degree two, so its bracket
     # is read off its variations, computed once
@@ -587,40 +568,19 @@ def verify_nontriv_lemma(d: int) -> bool:
         for q in quot
     ]
     table = _DerivativeTable()
-    brk = {}
-    for i in range(n):
-        for j in range(i, n):
-            f = _bracket(variations[i], variations[j], 2).density
-            # coordinates where a super-3 functional vanishes iff both
-            # variational derivatives do
-            brk[(i, j)] = (_euler_operator(f, "theta", table), _euler_operator(f, "u", table))
-    if n == 1:
-        v = brk[(0, 0)]
-        return not (v[0].is_zero() and v[1].is_zero())
-    f11, f12, f22 = brk[(0, 0)], brk[(0, 1)], brk[(1, 1)]
-    # a=1, b=0 corner
-    if f11[0].is_zero() and f11[1].is_zero():
-        return False
-    # b != 0: common real roots of v11 t^2 + 2 v12 t + v22 per coordinate
-    polys = []
-    for slot in (0, 1):
-        for key in (
-            set(f11[slot].terms) | set(f12[slot].terms) | set(f22[slot].terms)
-        ):
-            # QQ, because _poly_gcd divides and ints would give floats
-            polys.append(
-                [
-                    QQ(f22[slot].coefficient(key)),
-                    QQ(2 * f12[slot].coefficient(key)),
-                    QQ(f11[slot].coefficient(key)),
-                ]
-            )
-    g = []
-    for p in polys:
-        g = _poly_gcd(g, p) if g else [c for c in p]
-    if not g or len(g) == 1:
-        return True  # no common root at all
-    if len(g) == 2:
-        return False  # a common rational root exists
-    disc = g[1] * g[1] - 4 * g[2] * g[0]
-    return disc < 0
+    cols = []
+    for i, vi in enumerate(variations):
+        for j in range(i, len(quot)):
+            f = _bracket(vi, variations[j], 2).density
+            # a super-3 functional vanishes iff both variational derivatives
+            # do; var_theta has super degree 2 and var_u 3, so their keys
+            # never collide and one column holds both
+            col = _euler_operator(f, "theta", table) + _euler_operator(f, "u", table)
+            if i == j and col.is_zero():
+                return False
+            cols.append(col)
+    if not Factorization(cols).independent_from(0):
+        raise InternalInconsistency(
+            f"self-bracket columns are dependent at d={d}; the check cannot decide"
+        )
+    return True

@@ -114,8 +114,13 @@ def test_criterion_6_lemma_suite():
     t0 = time.time()
     ok = all(verify_square_lemma(k) for k in range(1, 9))
     ok = ok and all(verify_varder_lemma(d) for d in range(1, 11))
-    ok = ok and all(verify_nontriv_lemma(d) for d in range(1, 10))
-    _report("6 structural lemmas: squares (k <= 8), gradients (d <= 10), self-brackets (d <= 9)", ok, t0)
+    ok = ok and all(verify_nontriv_lemma(d) for d in range(1, 23))
+    _report(
+        "6 structural lemmas: squares (k <= 8), gradients (d <= 10),"
+        " self-brackets (d <= 22, quotient dimension 1-4)",
+        ok,
+        t0,
+    )
 
 
 def test_criterion_7_roundtrip_recovery():

@@ -303,24 +303,22 @@ def test_verify_lemmas(capsys):
     assert all(payload["square"].values())
     assert all(payload["varder"].values())
     assert all(payload["nontriv"].values())
-    assert payload["nontriv_unchecked"] == []
 
 
-def test_verify_lemmas_reports_unchecked_degrees(capsys):
-    # d = 15 is the first degree whose quotient dimension (3) is too large
-    # for the nontriviality check
+def test_verify_lemmas_checks_every_degree(capsys):
+    # d = 15 is the first degree with quotient dimension 3
     code, payload = run_json(
         capsys, ["verify-lemmas", "--max-degree", "16", "--format", "json"]
     )
     assert code == 0
-    assert payload["nontriv_unchecked"] == [15]
-    assert "15" not in payload["nontriv"] and "16" in payload["nontriv"]
+    assert payload["nontriv"]["15"] is True
+    assert list(payload["nontriv"]) == [str(d) for d in range(1, 17)]
+    assert "nontriv_unchecked" not in payload
 
     assert run_cli(["verify-lemmas", "--max-degree", "16"]) == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("nontriv:")]
     assert len(line) == 1
-    assert line[0].endswith("16:ok (unchecked: 15; quotient dimension above 2)")
-    assert " 15:" not in line[0]
+    assert line[0].endswith(" 15:ok 16:ok")
 
 
 def test_self_test(capsys):

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
 from reference_euler import reference_ad_p1_column
+from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
-    NONTRIV_MAX_DIM,
     BlockOperator,
     _ad_p1_column,
     block_operator,
@@ -476,14 +476,54 @@ def test_nontriv_small_range():
         assert verify_nontriv_lemma(d)
 
 
-def test_nontriv_rejects_a_large_quotient_before_any_bracket(monkeypatch):
-    def no_bracket(*args):
-        raise AssertionError("a bracket was formed")
+def test_nontriv_agrees_with_the_reference_up_to_quotient_dimension_two():
+    degrees = [d for d in range(1, 17) if 1 <= len(theta_quotient_basis(3, d)) <= 2]
+    assert len(degrees) == 12
+    for d in degrees:
+        assert verify_nontriv_lemma(d) == reference_nontriv(d), d
 
-    assert len(theta_quotient_basis(3, 15)) > NONTRIV_MAX_DIM
-    monkeypatch.setattr(cohomology, "_bracket", no_bracket)
-    with pytest.raises(InternalInconsistency, match="quotient dimension"):
+
+def test_nontriv_is_false_on_a_zero_self_bracket(monkeypatch):
+    monkeypatch.setattr(cohomology, "_bracket", lambda *args: Functional.zero())
+    assert verify_nontriv_lemma(15) is False
+
+
+def test_nontriv_cannot_decide_dependent_pair_columns(monkeypatch):
+    # the first off-diagonal pair, (0, 1), repeats the diagonal pair (0, 0)
+    bracket = cohomology._bracket
+    repeated = []
+
+    def one_repeat(vp, vq, p):
+        if vp is not vq and not repeated:
+            repeated.append((vp, vq))
+            vq = vp
+        return bracket(vp, vq, p)
+
+    monkeypatch.setattr(cohomology, "_bracket", one_repeat)
+    with pytest.raises(InternalInconsistency, match="cannot decide"):
         verify_nontriv_lemma(15)
+    assert len(repeated) == 1
+
+
+@pytest.mark.parametrize("d", [15, 17])
+def test_nontriv_self_brackets_are_nonzero_at_quotient_dimension_three(d):
+    # direct, without the rank argument: [B(chi), B(chi)] != 0 for
+    # seeded nonzero chi, some with zero coordinates
+    import random
+
+    quot = theta_quotient_basis(3, d)
+    assert len(quot) == 3
+    rng = random.Random(d)
+    vectors = [(1, 0, 0), (0, 0, 1), (1, -1, 0), (0, 2, 3)]
+    vectors += [tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in quot) for _ in range(3)]
+    for a in vectors:
+        if not any(a):
+            continue
+        chi = DiffPoly.zero()
+        for c, q in zip(a, quot):
+            chi = chi + q.scale(c)
+        F = Functional(bockstein_split(chi))
+        assert not schouten(F, F).is_zero(), a
 
 
 def test_self_bracket_identity():
