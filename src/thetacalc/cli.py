@@ -206,6 +206,14 @@ def _json_requested(argv) -> bool:
     return False
 
 
+def count(text: str) -> int:
+    """The argparse type of a count: an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="thetacalc",
@@ -237,12 +245,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("verify-lemmas", parents=[common], help="structural lemma suites")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=count, default=8)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("self-test", parents=[common], help="randomized identity checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=count, default=25)
     p.set_defaults(func=_cmd_self_test)
 
     return ap

@@ -43,13 +43,12 @@ of each right-hand side and the pivot set, hence the solutions, with
 about half the rows.
 
 The generator columns are expanded directly by Leibniz (_ad_p1_column),
-generating only odd-order terms.  They, the split-class columns and the
-columns of verify_varder_lemma are built through one
-variational._DerivativeTable, so each monomial is derived once per axis;
-verify_nontriv_lemma runs the variations of its brackets through one
-table per degree.  A table is local to its batch and dropped with it.
-There is no table across blocks: one that grows with the process costs
-more memory than it saves time (see variational).
+generating only odd-order terms; their mixed derivatives come from one
+variational._DerivativeTable per block, so each monomial is derived once
+per axis, and the table is dropped with the block.  There is no table
+across blocks: one that grows with the process costs more memory than
+it saves time (see variational).  The split-class columns, the c column
+and the lemma verifiers run the Euler operators of variational directly.
 """
 
 from __future__ import annotations
@@ -317,8 +316,7 @@ class BlockOperator:
         self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
         # unit monomials with int coefficients keep the generator and
         # split-class columns integral; the generators' mixed derivatives
-        # and the split-class sweeps share one derivative table, dropped
-        # with the columns
+        # share one derivative table, dropped with the columns
         table = _DerivativeTable()
         columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in self._x_keys]
         self._c_index = None
@@ -326,7 +324,7 @@ class BlockOperator:
             self._c_index = len(columns)
             columns.append(_odd_part(var_theta(pst(d, 0).density)))
         columns += [
-            _odd_part(_euler_operator(bockstein_split(DiffPoly({k: 1})), "theta", table))
+            _odd_part(_euler_operator(bockstein_split(DiffPoly({k: 1})), "theta"))
             for k in self._chi_keys
         ]
         self._system = Factorization(columns)
@@ -520,8 +518,7 @@ def verify_varder_lemma(d: int) -> bool:
     theta variational derivative."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    table = _DerivativeTable()
-    cols = [_euler_operator(b, "theta", table) for b in theta_basis(3, d)]
+    cols = [_euler_operator(b, "theta") for b in theta_basis(3, d)]
     if not cols:
         return True
     system = Factorization(cols)
@@ -567,7 +564,6 @@ def verify_nontriv_lemma(d: int) -> bool:
         _variations(Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))))
         for q in quot
     ]
-    table = _DerivativeTable()
     cols = []
     for i, vi in enumerate(variations):
         for j in range(i, len(quot)):
@@ -575,7 +571,7 @@ def verify_nontriv_lemma(d: int) -> bool:
             # a super-3 functional vanishes iff both variational derivatives
             # do; var_theta has super degree 2 and var_u 3, so their keys
             # never collide and one column holds both
-            col = _euler_operator(f, "theta", table) + _euler_operator(f, "u", table)
+            col = _euler_operator(f, "theta") + _euler_operator(f, "u")
             if i == j and col.is_zero():
                 return False
             cols.append(col)

@@ -5,9 +5,10 @@ A bracket is specified by coefficients A[k; k1,k2] multiplying the
 (k1,k2) delta-derivative at deformation order k, with deg A equal to
 k - k1 - k2 + 1.  The corresponding density at standard degree k+1 is
 half of  th * A * th^(k1,k2).  Symmetric operator parts are total
-divergences and vanish in the quotient; the reverse direction therefore
-fixes a canonical first-slot-underived form by integration by parts and
-reads the coefficients off that.
+divergences and vanish in the quotient.  The reverse direction reads
+the skew operator of the bivector off var_theta of its density: the
+coefficient of th^(s,t) is A[d-1; s,t].  It depends only on the
+functional, and for a skew input form it is that form.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass, field
 
 from .algebra import DiffPoly, mul
 from .errors import DegreeMismatch
-from .rationals import QQ
 from .schouten import BracketSeries
-from .variational import Functional
+from .variational import Functional, var_theta
 
 
 @dataclass
@@ -49,14 +49,6 @@ class DeltaForm:
             raise DegreeMismatch(f"A[{k};{k1},{k2}]: degree must be {want}")
         self.coefficients[(k, k1, k2)] = poly
 
-    @property
-    def leading(self) -> bool:
-        """True when the order-zero part is the standard leading term."""
-        zero_part = {
-            key: poly for key, poly in self.coefficients.items() if key[0] == 0
-        }
-        return zero_part == {(0, 0, 1): DiffPoly.one()}
-
     def coefficient(self, k: int, k1: int, k2: int) -> DiffPoly:
         return self.coefficients.get((k, k1, k2), DiffPoly.zero())
 
@@ -78,57 +70,17 @@ def delta_to_theta(D: DeltaForm, order: int) -> BracketSeries:
     )
 
 
-def _first_slot_reduce(density: DiffPoly) -> DiffPoly:
-    """Integrate by parts until every monomial contains the underived theta.
-
-    The second theta slot loses one derivative per pass, so the sweep
-    terminates; the result equals the input modulo total divergences.
-    """
-    work = density
-    while True:
-        good = {}
-        bad = []
-        for key, c in work.terms.items():
-            ths = key[2]
-            if len(ths) != 2:
-                raise ValueError("first-slot reduction expects super degree 2")
-            if ths[-1] == (0, 0):
-                good[key] = c
-            else:
-                bad.append((key, c))
-        if not bad:
-            return DiffPoly(good)
-        acc = DiffPoly(good)
-        for (upow, ufs, ths), c in bad:
-            (a, b), (cs, ct) = ths
-            axis = "x" if cs > 0 else "y"
-            e = (1, 0) if cs > 0 else (0, 1)
-            f = DiffPoly({(upow, ufs, ()): c})
-            th_hi = DiffPoly.theta(a, b)
-            th_lo = DiffPoly.theta(cs - e[0], ct - e[1])
-            acc = acc - mul(mul(f.dx() if axis == "x" else f.dy(), th_hi), th_lo)
-            acc = acc - mul(mul(f, DiffPoly.theta(a + e[0], b + e[1])), th_lo)
-        work = acc
-
-
 def theta_to_delta(P: BracketSeries) -> DeltaForm:
     """Operator-form coefficients of a bivector series.
 
-    The output is the deterministic first-slot-underived rewrite of each
-    component; composing back with delta_to_theta reproduces the input
-    as functionals.
+    Each component F of degree d gives A[d-1; s,t] = the coefficient of
+    th^(s,t) in var_theta(F): half of th times that skew operator is F
+    again modulo divergences, so composing with delta_to_theta gives back
+    the input as functionals, and a divergence shift of a density leaves
+    every coefficient unchanged.
     """
     coefficients = {}
     for d, F in P.components.items():
-        reduced = _first_slot_reduce(F.density)
-        per_index = {}
-        for (upow, ufs, ths), c in reduced.terms.items():
-            (a, b), _ = ths
-            key = (upow, ufs, ())
-            block = per_index.setdefault((a, b), {})
-            block[key] = block.get(key, QQ(0)) + (-2) * c
-        for (a, b), terms in per_index.items():
-            poly = DiffPoly({k: v for k, v in terms.items() if v != 0})
-            if not poly.is_zero():
-                coefficients[(d - 1, a, b)] = poly
-    return DeltaForm(coefficients)
+        for (upow, ufs, ((s, t),)), c in var_theta(F.density).terms.items():
+            coefficients.setdefault((d - 1, s, t), {})[(upow, ufs, ())] = c
+    return DeltaForm({key: DiffPoly(terms) for key, terms in coefficients.items()})

@@ -15,7 +15,8 @@ Grammar (whitespace-insensitive, '#' starts a line comment):
 'u' alone is the underived field variable.  Theta factors raised to a
 power of two or more are rejected; operator coefficients must be
 theta-free and homogeneous of the degree dictated by their indices.
-Errors carry the source position.
+Parentheses nest at most MAX_NESTING deep.  Errors carry the source
+position.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class BracketSpecFile:
             return self.delta.coefficients == other.delta.coefficients
         return self.densities == other.densities
 
+
+# parenthesized expressions parse recursively, four frames per level, so
+# the depth is bounded well below Python's recursion limit
+MAX_NESTING = 100
 
 _PUNCT = set("={}[]();,^*+-/")
 # str.isdigit also accepts non-ASCII digits such as '²', which int()
@@ -117,6 +122,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -186,8 +192,12 @@ class _Parser:
                 return DiffPoly.rational(num, den.value), False
             return DiffPoly.rational(num), False
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner, False
         if tok.kind == "name" and tok.value == "u":
             if self.peek().kind == "[":

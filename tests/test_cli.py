@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,32 @@ def test_fast_with_emit_miura_text_mode(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-lemmas", "--max-degree", "0"],
+        ["verify-lemmas", "--max-degree", "-5"],
+        ["self-test", "--trials", "0"],
+        ["self-test", "--trials", "-3"],
+    ],
+)
+def test_count_below_one_is_a_usage_error(capsys, argv):
+    # a count below 1 would check nothing and still exit 0
+    code, payload = run_json_error(capsys, [*argv, "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {
+        "type": "UsageError",
+        "message": f"argument {argv[1]}: must be at least 1, got {int(argv[2])}",
+    }
+
+
+def test_count_below_one_text_mode(capsys):
+    assert run_cli(["self-test", "--trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "self-test: error: argument --trials: must be at least 1, got -3" in captured.err
+
+
 def test_order_below_one_text_mode(capsys):
     assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "0"]) == 1
     captured = capsys.readouterr()
@@ -198,6 +225,36 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, payload = run_json_error(capsys, ["normalize", str(bad), "--format", "json"])
     assert code == 1
     assert payload["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("depth", [101, 260, 5000])
+def test_deep_parenthesis_nesting_is_a_parse_error(tmp_path, capsys, depth):
+    # past the nesting limit the parser stops at the opening parenthesis
+    # instead of running out of Python stack
+    from thetacalc.parser import MAX_NESTING
+
+    assert MAX_NESTING < depth
+    line2 = "theta { density[2] = "
+    deep = tmp_path / "deep.pb"
+    deep.write_text("order=2;\n" + line2 + "(" * depth + "u" + ")" * depth + "*th[0,0]*th[2,0]; }")
+    code, payload = run_json_error(capsys, ["normalize", str(deep), "--format", "json"])
+    assert code == 1
+    assert payload["error"]["type"] == "ParseError"
+    col = len(line2) + MAX_NESTING + 1
+    assert payload["error"]["message"] == (
+        f"line 2, col {col}: parentheses nested deeper than {MAX_NESTING}"
+    )
+
+
+def test_nesting_at_the_limit_parses(tmp_path, capsys):
+    from thetacalc.parser import MAX_NESTING
+
+    n = MAX_NESTING
+    ok = tmp_path / "nested.pb"
+    ok.write_text(
+        "order=2; theta { density[1] = " + "(" * n + "1/2" + ")" * n + "*th[0,0]*th[0,1]; }"
+    )
+    assert run_cli(["check", str(ok)]) == 0
 
 
 def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
@@ -377,8 +434,12 @@ def test_worked_example_order_51_both_encodings(tmp_path, capsys):
     for spec in (delta, BracketSpecFile(51, "theta", densities=densities)):
         path = tmp_path / f"example_{spec.kind}.pb"
         path.write_text(format_bracket_file(spec))
-        code, payload = run_json(capsys, ["normalize", str(path), "--order", "51", "--format", "json"])
+        code = run_cli(["normalize", str(path), "--order", "51", "--format", "json"])
+        out = capsys.readouterr().out
         assert code == 0
+        # the whole output, generators included, is pinned
+        assert hashlib.md5(out.encode()).hexdigest() == "008fdabb7e5c451ecceec0817f4d2c98"
+        payload = json.loads(out)
         jsonschema.validate(payload, SCHEMA)
         payloads.append(payload)
     assert payloads[0] == payloads[1]

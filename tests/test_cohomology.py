@@ -422,17 +422,28 @@ def test_odd_order_coordinates_decide_bivector_equality(pair):
 
 @pytest.mark.parametrize("w", [1, 2])
 def test_block_columns_derive_each_monomial_once(monkeypatch, w):
-    # the block's Euler sweeps share one derivative table: total_derivative
-    # runs once per distinct (monomial, axis), always on a unit monomial
+    # the block's generator columns share one derivative table: while they
+    # are built, total_derivative runs once per distinct (monomial, axis),
+    # always on a unit monomial
     from thetacalc import variational
 
     calls = []
+    building = []
 
     def counting(a, axis):
-        calls.append((tuple(a.terms.items()), axis))
+        if building:
+            calls.append((tuple(a.terms.items()), axis))
         return total_derivative(a, axis)
 
+    def generator_column(m, table=None):
+        building.append(m)
+        try:
+            return _ad_p1_column(m, table)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(variational, "total_derivative", counting)
+    monkeypatch.setattr(cohomology, "_ad_p1_column", generator_column)
     BlockOperator(7, w)
     assert calls
     assert len(calls) == len(set(calls))

@@ -9,7 +9,7 @@ from thetacalc.errors import DegreeMismatch, OddPower, ParseError
 from thetacalc.parser import BracketSpecFile, parse
 from thetacalc.printer import format_bracket_file, format_poly
 from thetacalc.rationals import QQ
-from thetacalc.schouten import BracketSeries, pst, standard_leading_term
+from thetacalc.schouten import BracketSeries, miura_apply, pst, standard_leading_term
 from thetacalc.variational import Functional, is_total_divergence
 
 u = DiffPoly.u
@@ -23,7 +23,8 @@ half = DiffPoly.rational(1, 2)
 def test_parse_example_delta_file():
     spec = parse("order=7; delta { A[0;0,1]=1; A[2;3,0]=1; A[2;2,1]=1; }")
     assert spec.order == 7 and spec.kind == "delta"
-    assert spec.delta.leading
+    one = DiffPoly.one()
+    assert spec.delta.coefficients == {(0, 0, 1): one, (2, 3, 0): one, (2, 2, 1): one}
     series = spec.to_series()
     assert series.component(1) == standard_leading_term()
     assert series.component(3) == pst(3, 0) + pst(2, 1)
@@ -233,7 +234,7 @@ def test_format_zero():
 
 def test_leading_delta_term_maps_to_p1():
     D = DeltaForm({(0, 0, 1): DiffPoly.one()})
-    assert D.leading
+    assert D.coefficients == {(0, 0, 1): DiffPoly.one()}
     series = delta_to_theta(D, 3)
     assert series.component(1) == standard_leading_term()
 
@@ -265,13 +266,50 @@ def test_theta_to_delta_of_zero():
     assert theta_to_delta(BracketSeries(2, {})).coefficients == {}
 
 
-def test_theta_to_delta_output_is_first_slot_underived():
-    from thetacalc.deltaform import _first_slot_reduce
+def _random_bivector(rng, d):
+    """A random degree-d bivector density, u-dependent in general."""
+    poly = DiffPoly.zero()
+    for w in range(3):
+        basis = enumerate_basis(Grade(d, 2, w))
+        for _ in range(2 if basis else 0):
+            c = QQ(rng.randint(-3, 3), rng.randint(1, 3))
+            poly = poly + rng.choice(basis).as_poly().scale(c)
+    return poly
 
-    poly = u() * th(2, 0) * th(1, 1) + half * th(3, 1) * th(0, 1)
-    reduced = _first_slot_reduce(poly)
-    assert all(key[2][-1] == (0, 0) for key in reduced.terms)
-    assert Functional(reduced) == Functional(poly)
+
+def test_theta_to_delta_is_invariant_under_divergence_shifts():
+    # every coefficient, not only the three the fast invariants read,
+    # depends on the functional alone
+    rng = random.Random(12)
+    for _ in range(12):
+        d = rng.randint(1, 5)
+        density = _random_bivector(rng, d)
+        D0 = theta_to_delta(BracketSeries(d, {d: Functional(density)}))
+        for _ in range(3):
+            basis = enumerate_basis(Grade(d - 1, 2, rng.randint(0, 2)))
+            if not basis:
+                continue
+            a, b = (rng.choice(basis).as_poly().scale(QQ(rng.randint(-2, 2))) for _ in "ab")
+            shifted = BracketSeries(d, {d: Functional(density + a.dx() + b.dy())})
+            assert theta_to_delta(shifted).coefficients == D0.coefficients
+
+
+def test_theta_to_delta_is_a_left_inverse_on_skew_forms():
+    # theta_to_delta returns the skew operator, so converting it back and
+    # reading it off again gives the same form
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(12):
+        d = rng.randint(1, 5)
+        D = theta_to_delta(BracketSeries(d, {d: Functional(_random_bivector(rng, d))}))
+        assert theta_to_delta(delta_to_theta(D, d)) == D
+        seen += bool(D.coefficients)
+    assert seen
+    # the form of a Miura conjugate of the worked example is skew as well
+    example = BracketSeries(5, {1: standard_leading_term(), 3: pst(3, 0) + pst(2, 1)})
+    D = theta_to_delta(miura_apply(Functional(u() * u(1, 0) * th(0, 0)), example, 5))
+    assert any(k[0] > 2 for k in D.coefficients)
+    assert theta_to_delta(delta_to_theta(D, 5)) == D
 
 
 def test_delta_theta_roundtrip_functional_identity():

@@ -18,8 +18,6 @@ from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.variational import (
     Functional,
-    _DerivativeTable,
-    _euler_operator,
     is_total_divergence,
     var_theta,
     var_u,
@@ -192,20 +190,6 @@ def test_euler_operators_on_rational_input_match_reference(f):
     # terms, and every coefficient is rational as in the reference
     assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
     assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(mixed_poly(), rational_poly()), min_size=1, max_size=4))
-def test_derivative_table_matches_direct_euler_operators(batch):
-    # one table across a batch, both kinds: equal terms and equal
-    # coefficient types, whatever the table already holds
-    table = _DerivativeTable()
-    for f in batch:
-        assert _typed(_euler_operator(f, "theta", table)) == _typed(var_theta(f))
-        assert _typed(_euler_operator(f, "u", table)) == _typed(var_u(f))
-    for f in batch:
-        assert _typed(table(f, "x")) == _typed(total_derivative(f, "x"))
-        assert _typed(table(f, "y")) == _typed(total_derivative(f, "y"))
 
 
 @settings(max_examples=60)
