@@ -206,12 +206,21 @@ def _json_requested(argv) -> bool:
     return False
 
 
+def _int_at_least(text: str, low: int) -> int:
+    n = int(text)
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+    return n
+
+
 def count(text: str) -> int:
     """The argparse type of a count: an int of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    return _int_at_least(text, 1)
+
+
+def natural(text: str) -> int:
+    """The argparse type of a degree or a number of factors: an int of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -240,8 +249,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("cohomology", parents=[common], help="quotient basis tables")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--p", type=natural, required=True)
+    p.add_argument("--d", type=natural, required=True)
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("verify-lemmas", parents=[common], help="structural lemma suites")

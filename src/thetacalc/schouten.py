@@ -105,7 +105,7 @@ class BracketSeries:
                 raise SuperDegreeError(
                     f"component at degree {d} has super degree {sd}, want 2"
                 )
-            if F.density.standard_degree() != d:
+            if F.standard_degree() != d:
                 raise ValueError(
                     f"component stored at degree {d} has a different standard degree"
                 )
@@ -155,7 +155,7 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
         return P.truncate(order)
     if X.super_degree() != 1:
         raise SuperDegreeError("Miura generator must have super degree one")
-    m = X.density.standard_degree()
+    m = X.standard_degree()
     if m is None:
         raise SuperDegreeError("Miura generator must be degree-homogeneous")
     if m < 1:

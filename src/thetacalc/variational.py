@@ -23,6 +23,21 @@ output coefficient is divided by L.  Int input runs on ints anyway, and
 mixed int/rational input is not lifted, so that an output coefficient
 fed only by int terms stays an int.
 
+The theta operator has a closed form on the u-free bivector terms
+c th^a th^b (no u power, no u-factors, two thetas, a above b in the
+canonical order), the terms of every normal form.  Their left partials
+are c th^b and -c th^a, and D only raises the one remaining theta index,
+so the term contributes c ((-1)^|a| - (-1)^|b|) th^(a+b), with |a| = s+t
+for a = (s,t): zero when |a| and |b| have the same parity, 2c th^(a+b)
+when |a| is even and |b| odd, -2c th^(a+b) when |a| is odd and |b| even.
+These contributions are added directly, after the lift; only the other
+terms go through the sweeps.  A sweep output keeps the u-weight and
+lowers the theta count of its term by one, so a key of weight 0 with
+one theta comes only from a u-free bivector term, and the two parts
+never share a key.  Mixed int/rational input takes the sweeps for every
+term: where terms cancel on one key, the type of what is left depends
+on the order of the additions, and the sweeps keep that order.
+
 _DerivativeTable serves the direct expansion of the coboundary columns
 (see cohomology): it derives each (axis, monomial) once, by
 total_derivative on the unit monomial, and its power method builds the
@@ -53,19 +68,44 @@ def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
     f is rational (none is an int), f is first multiplied by the lcm L
     of its denominators, the sweeps run on ints, and each coefficient of
     the result is divided by L once; int or mixed input is not lifted,
-    so its coefficient types come out as the sweeps leave them.
+    so its coefficient types come out as the sweeps leave them.  For
+    kind 'theta' on int or lifted coefficients, the u-free bivector
+    terms are summed in closed form instead (see the module docstring).
     """
     terms = f.terms
     L = _denominator_lcm(terms.values())
     if L is not None:
         terms = {k: c.numerator * (L // c.denominator) for k, c in terms.items()}
+    out = {}
+    if (
+        kind == "theta"
+        and (L is not None or all(type(c) is int for c in terms.values()))
+        and any(not (upow or ufs) and len(ths) == 2 for upow, ufs, ths in terms)
+    ):
+        # c th^a th^b adds c ((-1)^|a| - (-1)^|b|) th^(a+b); only the
+        # other terms are swept, and only a density with such a term is
+        # split into two
+        rest = {}
+        for key, c in terms.items():
+            upow, ufs, ths = key
+            if upow or ufs or len(ths) != 2:
+                rest[key] = c
+                continue
+            (s1, t1), (s2, t2) = ths
+            if (s1 + t1 + s2 + t2) & 1:
+                _accumulate(out, (0, (), ((s1 + s2, t1 + t2),)), -2 * c if (s1 + t1) & 1 else 2 * c)
+        terms = rest
     by_s = _partials(terms, kind)
-    if not by_s:
-        return DiffPoly.zero()
-    out = _signed_horner({s: _signed_horner(col, "y") for s, col in by_s.items()}, "x")
+    if by_s:
+        swept = _signed_horner({s: _signed_horner(col, "y") for s, col in by_s.items()}, "x")
+        if out:
+            # the two parts never share a key (see the module docstring)
+            out.update(swept.terms)
+        else:
+            out = swept.terms
     if L is None:
-        return out
-    return DiffPoly({k: QQ(v, L) for k, v in out.terms.items()})
+        return DiffPoly(out)
+    return DiffPoly({k: QQ(v, L) for k, v in out.items()})
 
 
 def _denominator_lcm(coefficients):
@@ -170,13 +210,21 @@ def is_total_divergence(a: DiffPoly) -> bool:
     return {len(ths) for (_, _, ths) in a.terms} <= {1, 2} or var_u(a).is_zero()
 
 
-class Functional:
-    """An element of the quotient space, held as a chosen density."""
+_UNSET = object()  # a cached degree not yet computed (it may be 0 or None)
 
-    __slots__ = ("density",)
+
+class Functional:
+    """An element of the quotient space, held as a chosen density.
+
+    Immutable after construction, like its density: the standard degree
+    of the density is cached on first use.
+    """
+
+    __slots__ = ("density", "_degree")
 
     def __init__(self, density: DiffPoly):
         self.density = density
+        self._degree = _UNSET
 
     @classmethod
     def zero(cls) -> "Functional":
@@ -187,6 +235,12 @@ class Functional:
 
     def super_degree(self):
         return self.density.super_degree()
+
+    def standard_degree(self):
+        """density.standard_degree(), computed once."""
+        if self._degree is _UNSET:
+            self._degree = self.density.standard_degree()
+        return self._degree
 
     def is_zero(self) -> bool:
         return is_total_divergence(self.density)

@@ -20,7 +20,10 @@ the accumulator is differentiated and negated, acc = -dy(acc) + f_(s,t),
 running t downwards, and the per-s sums are then combined the same way
 with dx.  It takes one reference_partial per index, differentiates with
 reference_total_derivative and never lifts to ints, so it shares no code
-with the production kernels beyond DiffPoly and the product helpers.
+with the production kernels beyond DiffPoly and the product helpers.  It
+is also the oracle for the closed form that thetacalc.variational uses
+for var_theta on u-free bivector terms c th^a th^b: reference_euler runs
+the full two-loop sweep on those terms too.
 
 reference_ad_p1_column is the coboundary column that thetacalc.cohomology
 replaced by its direct Leibniz expansion: var_theta of the density

@@ -151,6 +151,32 @@ def test_count_below_one_text_mode(capsys):
     assert "self-test: error: argument --trials: must be at least 1, got -3" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, argv",
+    [("--p", -1, ["--p", "-1", "--d", "3"]), ("--d", -2, ["--p", "3", "--d", "-2"])],
+    ids=["p", "d"],
+)
+def test_cohomology_negative_count_is_a_usage_error(capsys, flag, value, argv):
+    # a negative super degree or degree would print an empty basis and exit 0
+    code, payload = run_json_error(capsys, ["cohomology", *argv, "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {
+        "type": "UsageError",
+        "message": f"argument {flag}: must be at least 0, got {value}",
+    }
+    assert run_cli(["cohomology", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cohomology: error: argument {flag}: must be at least 0, got {value}" in captured.err
+
+
+def test_cohomology_at_zero_counts(capsys):
+    code, payload = run_json(capsys, ["cohomology", "--p", "0", "--d", "0", "--format", "json"])
+    assert code == 0
+    assert payload["dimension"] == 1
+    assert payload["basis"] == ["1"]
+
+
 def test_order_below_one_text_mode(capsys):
     assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "0"]) == 1
     captured = capsys.readouterr()

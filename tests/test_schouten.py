@@ -160,6 +160,14 @@ def test_series_component_degree_checked():
         BracketSeries(3, {2: pst(3, 0)})
 
 
+def test_series_checks_a_component_again_at_another_degree():
+    # the degree is cached on the Functional, the check still runs per series
+    F = pst(3, 0)
+    assert BracketSeries(3, {3: F}).component(3) is F
+    with pytest.raises(ValueError, match="stored at degree 2 has a different standard degree"):
+        BracketSeries(3, {2: F})
+
+
 def test_series_super_degree_checked():
     with pytest.raises(SuperDegreeError):
         BracketSeries(3, {1: Functional(u() * th(0, 0))})

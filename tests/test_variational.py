@@ -192,6 +192,56 @@ def test_euler_operators_on_rational_input_match_reference(f):
     assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
 
 
+@st.composite
+def deep_index(draw):
+    n = draw(st.integers(0, 50))
+    s = draw(st.integers(0, n))
+    return s, n - s
+
+
+@st.composite
+def free_bivectors(draw, coeff):
+    """u-free bivector terms c th^a th^b with |a|, |b| up to 50.
+
+    Each target index a + b is split several ways, so that terms land on
+    one output key and add up or cancel there.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(deep_index()), draw(deep_index())
+        S, T = a[0] + b[0], a[1] + b[1]
+        for _ in range(draw(st.integers(1, 4))):
+            n = draw(st.integers(max(0, S + T - 50), min(50, S + T)))
+            s = draw(st.integers(max(0, n - T), min(S, n)))
+            a2, b2 = (s, n - s), (S - s, T - n + s)
+            if a2 != b2:
+                terms[(0, (), tuple(sorted((a2, b2), reverse=True)))] = draw(coeff)
+    return DiffPoly(terms)
+
+
+def test_free_bivector_closed_form_signs():
+    # c((-1)^|a| - (-1)^|b|) th^(a+b): +2c, -2c, or 0 on equal parity
+    assert var_theta(th(2, 0) * th(0, 1)) == th(2, 1).scale(2)
+    assert var_theta(th(2, 1) * th(0, 0)) == th(2, 1).scale(-2)
+    assert var_theta(th(1, 1) * th(0, 0)).is_zero()
+    # two bivectors on one output key cancel: the difference is a divergence
+    assert var_theta(th(2, 1) * th(0, 0) + th(2, 0) * th(0, 1)).is_zero()
+
+
+@pytest.mark.parametrize("with_rest", [False, True], ids=["bivectors", "with-rest"])
+@pytest.mark.parametrize("coeff", [INT, RATIONAL, MIXED], ids=["int", "qq", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_var_theta_closed_form_matches_reference(coeff, with_rest, data):
+    # int terms take the closed form unlifted, all-rational ones after the
+    # lift, mixed ones the sweeps; the other terms (u-dependent, or not two
+    # thetas) always take the sweeps.  Equal terms and coefficient types.
+    f = data.draw(free_bivectors(coeff))
+    if with_rest:
+        f = f + data.draw(keyed_poly(coeff))
+    assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
+
+
 @settings(max_examples=60)
 @given(small_poly())
 def test_var_kills_divergences(c):
@@ -255,6 +305,28 @@ def test_functional_equality_is_divergence_aware():
     g = Functional(th(2, 0) * th(0, 1))
     assert f == g
     assert not f == Functional(DiffPoly.zero())
+
+
+@pytest.mark.parametrize(
+    "density",
+    [DiffPoly.zero(), th(0, 0) * th(2, 1), th(0, 0) * th(0, 1) + th(0, 0) * th(2, 1), u()],
+    ids=["zero", "homogeneous", "mixed", "degree-zero"],
+)
+def test_functional_caches_the_standard_degree(density):
+    # 0 for zero, None for mixed degrees: neither may read as "not cached"
+    class Counting(DiffPoly):
+        __slots__ = ("calls",)
+
+        def standard_degree(self):
+            self.calls += 1
+            return super().standard_degree()
+
+    counting = Counting(density.terms)
+    counting.calls = 0
+    F = Functional(counting)
+    assert F.standard_degree() == density.standard_degree()
+    assert F.standard_degree() == density.standard_degree()
+    assert counting.calls == 1
 
 
 def test_functionals_not_hashable():
