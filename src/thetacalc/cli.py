@@ -19,7 +19,6 @@ from .cohomology import (
     verify_varder_lemma,
 )
 from .errors import (
-    BracketSpecError,
     JacobiViolation,
     ObstructionNonzeroBockstein,
     ParseError,
@@ -41,8 +40,6 @@ _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _load_series(path: str, order):
-    if order is not None and order < 1:
-        raise BracketSpecError(f"--order must be at least 1, got {order}")
     # utf-8-sig drops a leading byte-order mark, which some editors write
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
@@ -207,7 +204,11 @@ def _json_requested(argv) -> bool:
 
 
 def _int_at_least(text: str, low: int) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        # argparse would name the type function: "invalid count value"
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
@@ -236,7 +237,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[common], help="reduce to normal form")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=count, default=None)
     # the fast path computes no generators, so it has nothing to emit
     path = p.add_mutually_exclusive_group()
     path.add_argument("--emit-miura", action="store_true")
@@ -245,7 +246,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="Jacobi identity only")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=count, default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("cohomology", parents=[common], help="quotient basis tables")

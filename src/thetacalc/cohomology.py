@@ -72,8 +72,8 @@ from .algebra import (
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization
 from .rationals import QQ
-from .schouten import _bracket, _variations, pst, schouten, standard_leading_term
-from .variational import Functional, _DerivativeTable, _euler_operator, var_theta
+from .schouten import pst, schouten, standard_leading_term
+from .variational import Functional, _DerivativeTable, var_theta
 
 
 def delta(a: DiffPoly) -> DiffPoly:
@@ -234,7 +234,7 @@ def evolutionary_field(g: DiffPoly) -> Functional:
     return Functional(mul(g, DiffPoly.theta(0, 0)))
 
 
-def _ad_p1_column(m: DiffPoly, table=None) -> DiffPoly:
+def _ad_p1_column(m: DiffPoly, table: _DerivativeTable) -> DiffPoly:
     """Odd-order coordinates of var_theta(delta(m*th)), the column of ad_p1
     on the evolutionary field m*th, for a theta-free m.
 
@@ -246,11 +246,9 @@ def _ad_p1_column(m: DiffPoly, table=None) -> DiffPoly:
     the i = j = 0 term meets -a_alpha th^alpha, and when s+T is odd the
     two add to -2 a_alpha th^alpha (when it is even, both are dropped).
     The mixed derivatives of the monomials of a_alpha come from
-    table.power (a fresh _DerivativeTable when None).  The coefficient
-    type of m is kept: an int m gives an int column.
+    table.power.  The coefficient type of m is kept: an int m gives an
+    int column.
     """
-    if table is None:
-        table = _DerivativeTable()
     power = table.power
     acc = {}
     for s, by_t in _partials(m.terms, "u").items():
@@ -324,7 +322,7 @@ class BlockOperator:
             self._c_index = len(columns)
             columns.append(_odd_part(var_theta(pst(d, 0).density)))
         columns += [
-            _odd_part(_euler_operator(bockstein_split(DiffPoly({k: 1})), "theta"))
+            _odd_part(var_theta(bockstein_split(DiffPoly({k: 1}))))
             for k in self._chi_keys
         ]
         self._system = Factorization(columns)
@@ -434,20 +432,17 @@ def verify_square_lemma(k: int) -> bool:
     """Check that no square of a degree-k two-theta element is dx-exact.
 
     An element a = sum a_i th^i th^(k-i) has square supported on the
-    span of products of pairs of its monomials.  Two exact passes:
-
-    1. When that span meets the image of dx only in zero, any exact
-       square is already zero.  The products are distinct monomials, so
-       this holds exactly when they are independent modulo the dx
-       images.
-
-    2. Otherwise split the preimage space by the outer index sum: the
-       half with sum >= k cannot reach the span of monomials seen by
-       the other half, and per candidate leading pair (s, t) the only
-       preimage monomials that touch the block with middle pair
-       (t, k-t) form a two-banded chain whose image never produces the
-       isolated product monomial.  Infeasibility of every chain system
-       rules out squares with two or more nonzero coefficients.
+    span of products of pairs of its monomials; the square is dx-exact
+    when it lies in the image of dx on the four-theta polynomials of
+    degree 2k-1.  Split that preimage space by the outer index sum: the
+    half with sum >= k cannot reach the span of monomials seen by the
+    other half (checked exactly; a leak means the check cannot decide).
+    Per candidate leading pair (s, t), the only preimage monomials that
+    touch the block with middle pair (t, k-t) form a two-banded chain
+    whose image never produces the isolated product monomial.
+    Infeasibility of every chain system rules out squares with two or
+    more nonzero coefficients; a feasible one means the check cannot
+    decide.  Both undecided cases raise InternalInconsistency.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -456,23 +451,10 @@ def verify_square_lemma(k: int) -> bool:
     if len(support) < 2:
         return True
     pair = {i: theta_monomial((i, k - i)) for i in support}
-    prods = []
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            prod = mul(pair[support[b]], pair[support[a]])
-            if not prod.is_zero():
-                prods.append(prod)
-    if not prods:
-        return True
-    basis = theta_basis(4, 2 * k - 1)
-    dx_cols = [b.dx() for b in basis]
-    if Factorization(dx_cols + prods).independent_from(len(dx_cols)):
-        return True
-
-    # pass 2: blockwise chain analysis, on the preimages and images of pass 1
     seen = set()
     upper_images = []
-    for b, image in zip(basis, dx_cols):
+    for b in theta_basis(4, 2 * k - 1):
+        image = b.dx()
         ks = _theta_key(next(iter(b.terms)))
         if ks[0] + ks[3] <= k - 1:
             seen.update(image.terms)
@@ -518,7 +500,7 @@ def verify_varder_lemma(d: int) -> bool:
     theta variational derivative."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    cols = [_euler_operator(b, "theta") for b in theta_basis(3, d)]
+    cols = [var_theta(b) for b in theta_basis(3, d)]
     if not cols:
         return True
     system = Factorization(cols)
@@ -558,21 +540,17 @@ def verify_nontriv_lemma(d: int) -> bool:
     if not quot:
         return True
     # int unit monomials keep the brackets and the Euler operators on ints;
-    # each split image is u-dependent of super degree two, so its bracket
-    # is read off its variations, computed once
-    variations = [
-        _variations(Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))))
-        for q in quot
-    ]
+    # each split image computes its variations once, for all its brackets
+    splits = [Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))) for q in quot]
     cols = []
-    for i, vi in enumerate(variations):
-        for j in range(i, len(quot)):
-            f = _bracket(vi, variations[j], 2).density
+    for i, Bi in enumerate(splits):
+        for Bj in splits[i:]:
             # a super-3 functional vanishes iff both variational derivatives
             # do; var_theta has super degree 2 and var_u 3, so their keys
             # never collide and one column holds both
-            col = _euler_operator(f, "theta") + _euler_operator(f, "u")
-            if i == j and col.is_zero():
+            theta, u = schouten(Bi, Bj).variations()
+            col = theta + u
+            if Bi is Bj and col.is_zero():
                 return False
             cols.append(col)
     if not Factorization(cols).independent_from(0):

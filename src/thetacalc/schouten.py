@@ -20,7 +20,7 @@ from math import factorial
 from .algebra import DiffPoly, mul
 from .errors import SuperDegreeError
 from .rationals import QQ
-from .variational import Functional, var_theta, var_u
+from .variational import Functional
 
 
 def p1_density() -> DiffPoly:
@@ -46,37 +46,22 @@ def _super_degree(F: Functional) -> int:
     return p
 
 
-def _variations(F: Functional):
-    """(var_theta, var_u) of F: all that a bracket reads of an operand."""
-    return var_theta(F.density), var_u(F.density)
+def schouten(P: Functional, Q: Functional) -> Functional:
+    """Schouten-Nijenhuis bracket of homogeneous multivectors.
 
-
-def _bracket(variations_P, variations_Q, p: int) -> Functional:
-    """[P, Q] from the variations of P, of super degree p, and of Q.
-
-    Callers that bracket one operand many times compute its variations
-    once and pass them here.
+    Reads only the variations of P and Q, which each Functional computes
+    once; elements with no u dependence have vanishing u-derivative on
+    both slots, so the bracket of two of them is zero.
     """
-    theta_P, u_P = variations_P
-    theta_Q, u_Q = variations_Q
+    p = _super_degree(P)
+    _super_degree(Q)
+    if P.density.is_u_free() and Q.density.is_u_free():
+        return Functional.zero()
+    theta_P, u_P = P.variations()
+    theta_Q, u_Q = Q.variations()
     first = mul(theta_P, u_Q)
     second = mul(u_P, theta_Q)
     return Functional(first - second if p % 2 else first + second)
-
-
-def _both_u_free(P: Functional, Q: Functional) -> bool:
-    # elements with no u dependence have vanishing u-derivative on both
-    # slots, so their bracket collapses to zero
-    return P.density.is_u_free() and Q.density.is_u_free()
-
-
-def schouten(P: Functional, Q: Functional) -> Functional:
-    """Schouten-Nijenhuis bracket of homogeneous multivectors."""
-    p = _super_degree(P)
-    _super_degree(Q)
-    if _both_u_free(P, Q):
-        return Functional.zero()
-    return _bracket(_variations(P), _variations(Q), p)
 
 
 @dataclass
@@ -160,7 +145,6 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
         raise SuperDegreeError("Miura generator must be degree-homogeneous")
     if m < 1:
         raise ValueError("Miura generator must have standard degree >= 1")
-    variations_X = _variations(X)
     acc = {}
 
     def put(d, F):
@@ -177,10 +161,7 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
         n = 0
         while d + (n + 1) * m <= order + 1:
             n += 1
-            _super_degree(Q)
-            if _both_u_free(X, Q):
-                break
-            Q = _bracket(variations_X, _variations(Q), 1)
+            Q = schouten(X, Q)
             if Q.density.is_zero():
                 break
             put(d + n * m, Q.scale(QQ(1, factorial(n))))
@@ -197,7 +178,6 @@ def jacobi_check(P: BracketSeries, order: int | None = None):
     if order is None:
         order = P.order
     degrees = P.degrees()
-    variations = {}  # of each component, computed on first use
     for D in range(2, order + 3):
         total = Functional.zero()
         for d1 in degrees:
@@ -209,15 +189,7 @@ def jacobi_check(P: BracketSeries, order: int | None = None):
             F2 = P.components.get(d2)
             if F2 is None:
                 continue
-            F1 = P.components[d1]
-            p = _super_degree(F1)
-            _super_degree(F2)
-            if _both_u_free(F1, F2):
-                continue
-            for d, F in ((d1, F1), (d2, F2)):
-                if d not in variations:
-                    variations[d] = _variations(F)
-            term = _bracket(variations[d1], variations[d2], p)
+            term = schouten(P.components[d1], F2)
             if term.density.is_zero():
                 continue
             total = total + (term if d1 == d2 else term.scale(2))

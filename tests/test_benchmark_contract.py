@@ -65,7 +65,7 @@ def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        # k = 5 reaches the chain systems of pass 2, k = 4 stops at pass 1
+        # each square check runs its leak check and its chain systems
         verdicts = [verify_square_lemma(4), verify_square_lemma(5),
                     verify_varder_lemma(5), verify_bockstein_injective(5)]
     finally:

@@ -72,8 +72,10 @@ def test_order_below_one_is_a_usage_error(capsys, command, order):
         capsys, [command, str(DATA / "example_eg.pb"), "--order", order, "--format", "json"]
     )
     assert code == 1
-    assert payload["error"]["type"] == "BracketSpecError"
-    assert "order must be at least 1" in payload["error"]["message"]
+    assert payload["error"] == {
+        "type": "UsageError",
+        "message": f"argument --order: must be at least 1, got {order}",
+    }
 
 
 @pytest.mark.parametrize("fmt", [["--format", "json"], ["--format=json"], ["--form", "json"]])
@@ -144,6 +146,24 @@ def test_count_below_one_is_a_usage_error(capsys, argv):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-lemmas", "--max-degree", "two"],
+        ["self-test", "--trials", "1.5"],
+        ["cohomology", "--p", "x", "--d", "3"],
+    ],
+)
+def test_count_that_is_not_an_int_is_a_usage_error(capsys, argv):
+    # the same message as --order abc, not argparse's "invalid count value"
+    code, payload = run_json_error(capsys, [*argv, "--format", "json"])
+    assert code == 1
+    assert payload["error"] == {
+        "type": "UsageError",
+        "message": f"argument {argv[1]}: invalid int value: {argv[2]!r}",
+    }
+
+
 def test_count_below_one_text_mode(capsys):
     assert run_cli(["self-test", "--trials", "-3"]) == 1
     captured = capsys.readouterr()
@@ -181,7 +201,8 @@ def test_order_below_one_text_mode(capsys):
     assert run_cli(["normalize", str(DATA / "example_eg.pb"), "--order", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "order must be at least 1" in captured.err
+    assert captured.err.startswith("usage: thetacalc normalize")
+    assert "normalize: error: argument --order: must be at least 1, got 0" in captured.err
 
 
 def test_normalize_respects_order_flag(capsys):

@@ -330,7 +330,7 @@ def _typed(poly):
 def test_ad_p1_column_is_the_odd_part_of_the_horner_column():
     # every generator monomial of the blocks d <= 8, w <= 4, as an int unit
     # monomial through one table per block (as BlockOperator builds them)
-    # and as a QQ monomial on its own
+    # and as a QQ monomial through a fresh table
     count = 0
     for d in range(1, 9):
         for w in range(5):
@@ -339,7 +339,7 @@ def test_ad_p1_column_is_the_odd_part_of_the_horner_column():
                 unit = DiffPoly({m.key: 1})
                 want = _odd_order(reference_ad_p1_column(unit))
                 assert _typed(_ad_p1_column(unit, table)) == _typed(want), m.key
-                assert _typed(_ad_p1_column(m.as_poly())) == _typed(
+                assert _typed(_ad_p1_column(m.as_poly(), _DerivativeTable())) == _typed(
                     _odd_order(reference_ad_p1_column(m.as_poly()))
                 ), m.key
                 count += 1
@@ -376,7 +376,7 @@ def test_ad_p1_column_matches_horner_column_on_generator_polynomials(coeff, data
     table = _DerivativeTable()  # shared by the batch, as in a block
     for m in batch:
         want = _typed(_odd_order(reference_ad_p1_column(m)))
-        assert _typed(_ad_p1_column(m)) == want
+        assert _typed(_ad_p1_column(m, _DerivativeTable())) == want
         assert _typed(_ad_p1_column(m, table)) == want
 
 
@@ -435,7 +435,7 @@ def test_block_columns_derive_each_monomial_once(monkeypatch, w):
             calls.append((tuple(a.terms.items()), axis))
         return total_derivative(a, axis)
 
-    def generator_column(m, table=None):
+    def generator_column(m, table):
         building.append(m)
         try:
             return _ad_p1_column(m, table)
@@ -461,6 +461,60 @@ def test_square_lemma_small_range():
 def test_square_witness_is_trivial():
     sq = mul(theta_monomial((3, 0)), theta_monomial((3, 0)))
     assert sq.is_zero()
+
+
+def test_no_square_is_dx_exact_up_to_k_14():
+    # the lemma itself, without the verifier: a = P_i +- P_j and seeded
+    # rational combinations of P_i = th^(i,0) th^(k-i,0); reduce_mod_dx
+    # gives the canonical representative modulo dx, so a nonzero one
+    # means the square is not exact
+    import random
+    from itertools import combinations
+
+    rng = random.Random(14)
+    checked = 0
+    for k in range(3, 15):
+        support = range(k // 2 + 1, k + 1)
+        P = {i: theta_monomial((i, k - i)) for i in support}
+        elements = [P[i] + P[j].scale(sign) for i, j in combinations(support, 2) for sign in (1, -1)]
+        for _ in range(3):
+            coeffs = [QQ(rng.randint(-6, 6), rng.randint(1, 5)) for _ in support]
+            coeffs[0] = coeffs[0] or QQ(1)
+            coeffs[-1] = coeffs[-1] or QQ(-1)
+            a = DiffPoly.zero()
+            for c, i in zip(coeffs, support):
+                a = a + P[i].scale(c)
+            elements.append(a)
+        for a in elements:
+            assert not reduce_mod_dx(mul(a, a)).is_zero(), (k, a)
+            checked += 1
+    assert checked == 260
+
+
+class _AlwaysFeasible(Factorization):
+    def solve(self, rhs):
+        return [QQ(0)] * self.ncols
+
+
+class _NeverIndependent(Factorization):
+    def independent_from(self, first):
+        return False
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_square_lemma_cannot_decide_a_feasible_chain(monkeypatch, k):
+    # every k runs the chain systems, also those where the products
+    # alone are independent modulo the dx images
+    monkeypatch.setattr(cohomology, "Factorization", _AlwaysFeasible)
+    with pytest.raises(InternalInconsistency, match="chain system feasible"):
+        verify_square_lemma(k)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_square_lemma_cannot_decide_a_leaking_split(monkeypatch, k):
+    monkeypatch.setattr(cohomology, "Factorization", _NeverIndependent)
+    with pytest.raises(InternalInconsistency, match="outer-sum split leaks"):
+        verify_square_lemma(k)
 
 
 def test_varder_lemma_small_range():
@@ -495,22 +549,22 @@ def test_nontriv_agrees_with_the_reference_up_to_quotient_dimension_two():
 
 
 def test_nontriv_is_false_on_a_zero_self_bracket(monkeypatch):
-    monkeypatch.setattr(cohomology, "_bracket", lambda *args: Functional.zero())
+    monkeypatch.setattr(cohomology, "schouten", lambda P, Q: Functional.zero())
     assert verify_nontriv_lemma(15) is False
 
 
 def test_nontriv_cannot_decide_dependent_pair_columns(monkeypatch):
     # the first off-diagonal pair, (0, 1), repeats the diagonal pair (0, 0)
-    bracket = cohomology._bracket
+    bracket = cohomology.schouten
     repeated = []
 
-    def one_repeat(vp, vq, p):
-        if vp is not vq and not repeated:
-            repeated.append((vp, vq))
-            vq = vp
-        return bracket(vp, vq, p)
+    def one_repeat(P, Q):
+        if P is not Q and not repeated:
+            repeated.append((P, Q))
+            Q = P
+        return bracket(P, Q)
 
-    monkeypatch.setattr(cohomology, "_bracket", one_repeat)
+    monkeypatch.setattr(cohomology, "schouten", one_repeat)
     with pytest.raises(InternalInconsistency, match="cannot decide"):
         verify_nontriv_lemma(15)
     assert len(repeated) == 1

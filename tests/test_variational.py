@@ -329,6 +329,36 @@ def test_functional_caches_the_standard_degree(density):
     assert counting.calls == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mixed_poly(), rational_poly()))
+def test_functional_variations_are_the_euler_operators(f):
+    theta, u_part = Functional(f).variations()
+    assert _typed(theta) == _typed(var_theta(f))
+    assert _typed(u_part) == _typed(var_u(f))
+
+
+def test_functional_computes_its_variations_once(monkeypatch):
+    from thetacalc import variational
+
+    calls = []
+    for name in ("var_theta", "var_u"):
+        op = getattr(variational, name)
+        monkeypatch.setattr(
+            variational, name, lambda f, op=op, name=name: calls.append(name) or op(f)
+        )
+    F = Functional(u() * th(0, 0) * th(1, 0) + u(0, 2) * th(0, 0) * th(0, 1))
+    first = F.variations()
+    assert sorted(calls) == ["var_theta", "var_u"]
+    assert F.variations() is first
+    assert len(calls) == 2
+    # scale and + return new Functionals, each with its own variations
+    for G, factor in ((F.scale(3), 3), (F + F, 2)):
+        theta, u_part = G.variations()
+        assert theta == first[0].scale(factor) and u_part == first[1].scale(factor)
+        assert F.variations() is first
+    assert len(calls) == 6
+
+
 def test_functionals_not_hashable():
     with pytest.raises(TypeError):
         hash(Functional(u()))
