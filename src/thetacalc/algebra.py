@@ -57,19 +57,6 @@ def _key_grade(key) -> Grade:
     return Grade(d, len(ths), w)
 
 
-def _theta_insert(th, ths):
-    """Multiply th from the left into a canonical tuple.
-
-    Returns (sign, tuple) or None when the index is already present.
-    """
-    for i, existing in enumerate(ths):
-        if th > existing:
-            return -1 if i & 1 else 1, ths[:i] + (th,) + ths[i:]
-        if th == existing:
-            return None
-    return -1 if len(ths) & 1 else 1, ths + (th,)
-
-
 def _theta_merge(ths1, ths2):
     """Concatenate two canonical tuples and resort, tracking the sign."""
     if not ths1:

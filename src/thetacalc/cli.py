@@ -124,22 +124,18 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    n = args.max_degree
-    square = {k: verify_square_lemma(k) for k in range(1, n + 1)}
-    varder = {d: verify_varder_lemma(d) for d in range(1, n + 1)}
-    nontriv = {d: verify_nontriv_lemma(d) for d in range(1, n + 1)}
-    payload = {
-        "square": {str(k): v for k, v in square.items()},
-        "varder": {str(d): v for d, v in varder.items()},
-        "nontriv": {str(d): v for d, v in nontriv.items()},
-    }
-    ok = all(square.values()) and all(varder.values()) and all(nontriv.values())
-    lines = [
-        "square:  " + " ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in square.items()),
-        "varder:  " + " ".join(f"{d}:{'ok' if v else 'FAIL'}" for d, v in varder.items()),
-        "nontriv: " + " ".join(f"{d}:{'ok' if v else 'FAIL'}" for d, v in nontriv.items()),
-    ]
+    payload, lines = {}, []
+    for name, verify in (
+        ("square", verify_square_lemma),
+        ("varder", verify_varder_lemma),
+        ("nontriv", verify_nontriv_lemma),
+    ):
+        results = {n: verify(n) for n in range(1, args.max_degree + 1)}
+        payload[name] = {str(n): v for n, v in results.items()}
+        marks = " ".join(f"{n}:{'ok' if v else 'FAIL'}" for n, v in results.items())
+        lines.append(f"{name + ':':9}{marks}")
     _emit(payload, args.format, lines)
+    ok = all(v for results in payload.values() for v in results.values())
     return EXIT_OK if ok else EXIT_USAGE
 
 

@@ -5,7 +5,10 @@ Conventions.  delta is the odd derivation sum th^(s,t+1) d/du^(s,t); on
 functionals it agrees with the adjoint action of the standard leading
 bivector (asserted in the suite).  The splitting map B sends a
 constant-coefficient polynomial in the x-derivative thetas to a density
-linear in u, commutes with dx, and satisfies delta o B = dy.
+linear in u, commutes with dx, and satisfies delta o B = dy.  Both are
+sums over the partial derivatives of algebra._partials, and
+reduce_mod_dx works in DiffPoly arithmetic; only the hot column builder
+_ad_p1_column still builds monomial keys itself.
 
 The solver decompose_h2 writes an adjoint-closed bivector component as
 
@@ -58,17 +61,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional
 
-from .algebra import (
-    DiffPoly,
-    Grade,
-    _accumulate,
-    _partials,
-    _theta_insert,
-    _ufactor_lower,
-    _ufactors_mul,
-    enumerate_basis,
-    mul,
-)
+from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization
 from .rationals import QQ
@@ -77,42 +70,32 @@ from .variational import Functional, _DerivativeTable, var_theta
 
 
 def delta(a: DiffPoly) -> DiffPoly:
-    """The odd derivation sum th^(s,t+1) d/du^(s,t)."""
-    acc = {}
-    for (upow, ufs, ths), c in a.terms.items():
-        if upow:
-            res = _theta_insert((0, 1), ths)
-            if res is not None:
-                sign, nths = res
-                _accumulate(acc, (upow - 1, ufs, nths), sign * c * upow)
-        for i, ((s, t), e) in enumerate(ufs):
-            res = _theta_insert((s, t + 1), ths)
-            if res is not None:
-                sign, nths = res
-                key = (upow, _ufactor_lower(ufs, i), nths)
-                _accumulate(acc, key, sign * c * e)
-    return DiffPoly(acc)
+    """The odd derivation sum th^(s,t+1) d/du^(s,t).
+
+    Each partial is multiplied by a unit theta with the int coefficient
+    1, so every coefficient keeps its type.
+    """
+    out = DiffPoly.zero()
+    for s, by_t in _partials(a.terms, "u").items():
+        for t, part in by_t.items():
+            out = out + mul(DiffPoly({(0, (), ((s, t + 1),)): 1}), part)
+    return out
 
 
 def bockstein_split(t: DiffPoly) -> DiffPoly:
     """The map sum u^(i,0) d/dth^(i,0) (left derivatives).
 
     Defined on the constant-theta ring; commutes with dx and satisfies
-    delta(bockstein_split(t)) = dy(t).
+    delta(bockstein_split(t)) = dy(t).  The unit u-factors have the int
+    coefficient 1, so every coefficient keeps its type.
     """
-    acc = {}
-    for (upow, ufs, ths), c in t.terms.items():
-        for j, (s, tt) in enumerate(ths):
-            if tt != 0:
-                continue
-            sign = -1 if j & 1 else 1
-            nths = ths[:j] + ths[j + 1 :]
-            if s == 0:
-                key = (upow + 1, ufs, nths)
-            else:
-                key = (upow, _ufactors_mul(ufs, (((s, 0), 1),)), nths)
-            _accumulate(acc, key, sign * c)
-    return DiffPoly(acc)
+    out = DiffPoly.zero()
+    for s, by_t in _partials(t.terms, "theta").items():
+        part = by_t.get(0)
+        if part is not None:
+            u_key = (1, (), ()) if s == 0 else (0, (((s, 0), 1),), ())
+            out = out + mul(DiffPoly({u_key: 1}), part)
+    return out
 
 
 # -- the constant-theta ring --------------------------------------------
@@ -197,7 +180,7 @@ def reduce_mod_dx(t: DiffPoly) -> DiffPoly:
     """
     if not is_theta_poly(t):
         raise ValueError("reduce_mod_dx expects a constant-theta element")
-    cur = dict(t.terms)
+    cur = t
 
     def top_preimage(ths):
         ks = tuple(s for s, _ in ths)
@@ -210,7 +193,7 @@ def reduce_mod_dx(t: DiffPoly) -> DiffPoly:
 
     while True:
         best = None
-        for key in cur:
+        for key in cur.terms:
             pre = top_preimage(key[2])
             if pre is None:
                 continue
@@ -218,12 +201,9 @@ def reduce_mod_dx(t: DiffPoly) -> DiffPoly:
             if best is None or lex > best[0]:
                 best = (lex, key, pre)
         if best is None:
-            return DiffPoly(cur)
+            return cur
         _, key, pre = best
-        coeff = cur[key]
-        image = theta_monomial(pre).dx()
-        for k2, c2 in image.terms.items():
-            _accumulate(cur, k2, -coeff * c2)
+        cur = cur - theta_monomial(pre).dx().scale(cur.terms[key])
 
 
 # -- evolutionary vector fields and the coboundary columns ---------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import DiffPoly, mul
+from .algebra import DiffPoly, _partials, mul
 from .errors import DegreeMismatch
 from .schouten import BracketSeries
 from .variational import Functional, var_theta
@@ -79,8 +79,11 @@ def theta_to_delta(P: BracketSeries) -> DeltaForm:
     the input as functionals, and a divergence shift of a density leaves
     every coefficient unchanged.
     """
-    coefficients = {}
-    for d, F in P.components.items():
-        for (upow, ufs, ((s, t),)), c in var_theta(F.density).terms.items():
-            coefficients.setdefault((d - 1, s, t), {})[(upow, ufs, ())] = c
-    return DeltaForm({key: DiffPoly(terms) for key, terms in coefficients.items()})
+    return DeltaForm(
+        {
+            (d - 1, s, t): A
+            for d, F in P.components.items()
+            for s, by_t in _partials(var_theta(F.density).terms, "theta").items()
+            for t, A in by_t.items()
+        }
+    )

@@ -242,6 +242,7 @@ class _Parser:
     def parse_delta_body(self, order: int) -> BracketSpecFile:
         self.expect("{")
         delta = DeltaForm()
+        seen = set()  # a zero entry is read but never stored
         while self.peek().kind != "}":
             atok = self.expect("name")
             if atok.value != "A":
@@ -256,10 +257,11 @@ class _Parser:
             self.expect("=")
             poly = self.parse_expr()
             self.expect(";")
-            if (k, k1, k2) in delta.coefficients:
+            if (k, k1, k2) in seen:
                 raise ParseError(
                     f"duplicate entry A[{k};{k1},{k2}]", atok.line, atok.col
                 )
+            seen.add((k, k1, k2))
             if k > order:
                 raise ParseError(
                     f"A[{k};...] lies beyond the truncation order {order}",
@@ -276,6 +278,7 @@ class _Parser:
     def parse_theta_body(self, order: int) -> BracketSpecFile:
         self.expect("{")
         densities = {}
+        seen = set()  # a zero entry is read but never stored
         while self.peek().kind != "}":
             dtok = self.expect("name")
             if dtok.value != "density":
@@ -286,8 +289,9 @@ class _Parser:
             self.expect("=")
             poly = self.parse_expr()
             self.expect(";")
-            if d in densities:
+            if d in seen:
                 raise ParseError(f"duplicate entry density[{d}]", dtok.line, dtok.col)
+            seen.add(d)
             if d < 1 or d > order + 1:
                 raise ParseError(
                     f"density degree {d} outside 1..{order + 1}", dtok.line, dtok.col

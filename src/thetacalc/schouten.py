@@ -23,13 +23,9 @@ from .rationals import QQ
 from .variational import Functional
 
 
-def p1_density() -> DiffPoly:
-    """Density of the standard leading bivector."""
-    return DiffPoly.rational(1, 2) * DiffPoly.theta(0, 0) * DiffPoly.theta(0, 1)
-
-
 def standard_leading_term() -> Functional:
-    return Functional(p1_density())
+    """The standard leading bivector, half of the integral of th * th^(0,1)."""
+    return pst(0, 1)
 
 
 def pst(s: int, t: int) -> Functional:

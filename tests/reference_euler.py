@@ -1,5 +1,5 @@
-"""Reference Euler operator, total derivative, partial derivative and
-coboundary column, for tests only.
+"""Reference Euler operator, total derivative, partial derivative, odd
+derivation, splitting map and coboundary column, for tests only.
 
 reference_partial is the per-index partial derivative that
 thetacalc.algebra replaced by its one-pass kernel: one scan over every
@@ -25,16 +25,35 @@ is also the oracle for the closed form that thetacalc.variational uses
 for var_theta on u-free bivector terms c th^a th^b: reference_euler runs
 the full two-loop sweep on those terms too.
 
+reference_delta and reference_bockstein_split are the odd derivation
+sum th^(s,t+1) d/du^(s,t) and the splitting map sum u^(i,0) d/dth^(i,0)
+as the key-level loops that thetacalc.cohomology replaced by sums over
+its partial-derivative kernel: each term is edited in place, a theta
+factor inserted by _theta_insert and a u-exponent lowered through
+_ufactor_set.
+
 reference_ad_p1_column is the coboundary column that thetacalc.cohomology
 replaced by its direct Leibniz expansion: var_theta of the density
-delta(m*th), all coordinates, even and odd order, by the Horner sweeps
-that test_euler_operators_match_two_loop_reference checks against
+reference_delta(m*th), all coordinates, even and odd order, by the Horner
+sweeps that test_euler_operators_match_two_loop_reference checks against
 reference_euler.
 """
 
-from thetacalc.algebra import DiffPoly, _accumulate, _theta_insert, _ufactors_mul, mul
-from thetacalc.cohomology import delta
+from thetacalc.algebra import DiffPoly, _accumulate, _ufactors_mul, mul
 from thetacalc.variational import var_theta
+
+
+def _theta_insert(th, ths):
+    """Multiply th from the left into a canonical tuple.
+
+    Returns (sign, tuple) or None when the index is already present.
+    """
+    for i, existing in enumerate(ths):
+        if th > existing:
+            return -1 if i & 1 else 1, ths[:i] + (th,) + ths[i:]
+        if th == existing:
+            return None
+    return -1 if len(ths) & 1 else 1, ths + (th,)
 
 
 def _ufactor_set(ufs, idx, e):
@@ -135,6 +154,41 @@ def reference_euler(f, kind):
     return acc
 
 
+def reference_delta(a):
+    """The odd derivation sum th^(s,t+1) d/du^(s,t)."""
+    acc = {}
+    for (upow, ufs, ths), c in a.terms.items():
+        if upow:
+            res = _theta_insert((0, 1), ths)
+            if res is not None:
+                sign, nths = res
+                _accumulate(acc, (upow - 1, ufs, nths), sign * c * upow)
+        for (s, t), e in ufs:
+            res = _theta_insert((s, t + 1), ths)
+            if res is not None:
+                sign, nths = res
+                key = (upow, _ufactor_set(ufs, (s, t), e - 1), nths)
+                _accumulate(acc, key, sign * c * e)
+    return DiffPoly(acc)
+
+
+def reference_bockstein_split(t):
+    """The splitting map sum u^(i,0) d/dth^(i,0) (left derivatives)."""
+    acc = {}
+    for (upow, ufs, ths), c in t.terms.items():
+        for j, (s, tt) in enumerate(ths):
+            if tt != 0:
+                continue
+            sign = -1 if j & 1 else 1
+            nths = ths[:j] + ths[j + 1 :]
+            if s == 0:
+                key = (upow + 1, ufs, nths)
+            else:
+                key = (upow, _ufactors_mul(ufs, (((s, 0), 1),)), nths)
+            _accumulate(acc, key, sign * c)
+    return DiffPoly(acc)
+
+
 def reference_ad_p1_column(m):
     """theta-derivative coordinates of ad_p1 of the evolutionary field m*th."""
-    return var_theta(delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))
+    return var_theta(reference_delta(mul(m, DiffPoly({(0, (), ((0, 0),)): 1}))))

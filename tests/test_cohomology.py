@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
-from reference_euler import reference_ad_p1_column
+from reference_euler import reference_ad_p1_column, reference_bockstein_split, reference_delta
 from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
@@ -378,6 +381,67 @@ def test_ad_p1_column_matches_horner_column_on_generator_polynomials(coeff, data
         want = _typed(_odd_order(reference_ad_p1_column(m)))
         assert _typed(_ad_p1_column(m, _DerivativeTable())) == want
         assert _typed(_ad_p1_column(m, table)) == want
+
+
+THETA_INDEX = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def super_poly(draw, coeff):
+    """A polynomial in u, its derivatives and the thetas, grades mixed."""
+    terms = {}
+    for upow, ufs, ths in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.dictionaries(GEN_INDEX, st.integers(1, 2), max_size=2),
+                st.sets(THETA_INDEX, max_size=3),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    ):
+        terms[(upow, tuple(sorted(ufs.items())), tuple(sorted(ths, reverse=True)))] = draw(coeff)
+    return DiffPoly(terms)
+
+
+@pytest.mark.parametrize(
+    "coeff", [INT, RATIONAL, st.one_of(INT, RATIONAL)], ids=["int", "qq", "mixed"]
+)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_delta_and_split_match_the_key_level_loops(coeff, data):
+    a = data.draw(super_poly(coeff))
+    assert _typed(delta(a)) == _typed(reference_delta(a))
+    assert _typed(bockstein_split(a)) == _typed(reference_bockstein_split(a))
+
+
+def test_delta_and_split_match_the_key_level_loops_on_unit_monomials():
+    # int unit monomials, as the block columns are built, and QQ ones
+    for d in range(6):
+        for p in range(4):
+            for w in range(3):
+                for m in enumerate_basis(Grade(d, p, w)):
+                    for a in (DiffPoly({m.key: 1}), m.as_poly()):
+                        assert _typed(delta(a)) == _typed(reference_delta(a)), m.key
+                        want = _typed(reference_bockstein_split(a))
+                        assert _typed(bockstein_split(a)) == want, m.key
+
+
+def test_cohomology_and_deltaform_read_only_the_partial_kernel():
+    # delta, the splitting map and theta_to_delta are sums over _partials;
+    # no other private name of algebra edits key tuples for them
+    src = Path(cohomology.__file__).parent
+    for name in ("cohomology.py", "deltaform.py"):
+        tree = ast.parse((src / name).read_text())
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("algebra", "thetacalc.algebra")
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private <= {"_partials"}, name
 
 
 @st.composite

@@ -1,4 +1,7 @@
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from thetacalc.parser import BracketSpecFile, parse
 from thetacalc.printer import format_bracket_file, format_poly
 from thetacalc.rationals import QQ
 from thetacalc.schouten import BracketSeries, miura_apply, pst, standard_leading_term
-from thetacalc.variational import Functional, is_total_divergence
+from thetacalc.variational import Functional, is_total_divergence, var_theta
 
 u = DiffPoly.u
 th = DiffPoly.theta
@@ -131,6 +134,22 @@ def test_non_ascii_digit_rejected(text, line, col):
 def test_duplicate_entry_rejected():
     with pytest.raises(ParseError):
         parse("order=2; delta { A[1;1,0]=u[1,0]; A[1;1,0]=u[0,1]; }")
+
+
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("order=7; delta { A[0;0,1]=1; A[2;3,0]=0; A[2;3,0]=1; }", "A[2;3,0]"),
+        ("order=3; theta { density[3]=0; density[3]=1/2*th[0,0]*th[3,0]; }", "density[3]"),
+    ],
+    ids=["delta", "theta"],
+)
+def test_duplicate_of_a_zero_entry_rejected(text, entry):
+    # a zero entry is never stored, but it is read: its copy is a duplicate
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, text.rindex(entry) + 1)
+    assert str(exc.value).endswith(f"duplicate entry {entry}")
 
 
 def test_inhomogeneous_density_rejected():
@@ -310,6 +329,40 @@ def test_theta_to_delta_is_a_left_inverse_on_skew_forms():
     D = theta_to_delta(miura_apply(Functional(u() * u(1, 0) * th(0, 0)), example, 5))
     assert any(k[0] > 2 for k in D.coefficients)
     assert theta_to_delta(delta_to_theta(D, 5)) == D
+
+
+def _key_level_theta_to_delta(P):
+    """theta_to_delta as the loop that unpacks the keys of var_theta."""
+    coefficients = {}
+    for d, F in P.components.items():
+        for (upow, ufs, ((s, t),)), c in var_theta(F.density).terms.items():
+            coefficients.setdefault((d - 1, s, t), {})[(upow, ufs, ())] = c
+    return {key: DiffPoly(terms) for key, terms in coefficients.items()}
+
+
+def _typed_form(coefficients):
+    return {key: {k: (c, type(c)) for k, c in A.terms.items()} for key, A in coefficients.items()}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    yield importlib.import_module("workloads")
+    sys.modules.pop("workloads", None)
+
+
+def test_theta_to_delta_matches_the_key_level_loop(workloads):
+    # the worked example, one of its Miura conjugates and the two
+    # conjugates of the benchmark at seed 7, coefficient types included
+    example = parse("order=7; delta { A[0;0,1]=1; A[2;3,0]=1; A[2;2,1]=1; }").to_series()
+    series = [example, miura_apply(Functional(u() * u(1, 0) * th(0, 0)), example, 7)]
+    series += [P for _, P in workloads.make_conjugates(7)[1]]
+    orders = set()
+    for P in series:
+        want = _typed_form(_key_level_theta_to_delta(P))
+        assert _typed_form(theta_to_delta(P).coefficients) == want
+        orders.update(k for k, _, _ in want)
+    assert max(orders) > 2
 
 
 def test_delta_theta_roundtrip_functional_identity():
