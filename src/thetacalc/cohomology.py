@@ -17,18 +17,36 @@ The solver decompose_h2 writes an adjoint-closed bivector component as
 with the constant present only in odd degree.  Unknown vector fields are
 parameterized in evolutionary form g * th with g a plain differential
 polynomial: every class of super degree one has such a representative,
-which keeps the linear systems small.  Equality of super degree <= 2
-functionals is equivalent to the vanishing of the theta variational
-derivative, so each weight block reduces to one sparse rational solve.
+which keeps the linear systems small.  Equality of functionals of
+positive super degree is equivalent to the vanishing of the theta
+variational derivative (see variational), so each weight block reduces
+to sparse rational solves, one per x-order slice.
 
 The coefficient matrix of a (degree, weight) block depends only on the
-block.  block_operator builds and eliminates it once and memoizes it for
-the life of the process.  decompose_h2 is the one loop that solves
-through it, replaying the recorded elimination on each weight block's
-right-hand side; the normalizer and verify_distinctness both split their
-components with decompose_h2, and verify_bockstein_injective reads the
-pivots of the weight-one block.  Memory is bounded by the blocks touched
-(about 0.8 MB for two order-6 conjugates).
+block, and it splits further by x-order.  delta raises the y-order by
+exactly one and keeps the x-order, and var_theta keeps both, so the
+generator column of a monomial of x-order a (and y-order d-1-a) lies
+in the rows of x-order a and y-order d-a >= 1.  The c column and the
+split-class columns are built from thetas th^(k,0) alone and lie in
+x-order d, y-order 0, which no generator column reaches.  So a block
+is the direct sum of its slices a = 0..d, which share no row, and the
+slice of x-order d holds the class columns only.  Elimination never
+mixes slices (every row operation stays among the rows holding one
+column), so slice by slice gives the pivots and solutions of the
+whole block.
+
+block_operator(d, w, a) builds and eliminates one slice once and
+memoizes it for the life of the process.  decompose_h2 is the one loop
+that solves through it: it groups the odd-order coordinates of
+var_theta(P_d) by (weight, x-order), builds only the slices they
+reach, and replays each slice's recorded elimination on its group.  On
+two order-6 conjugates they reach 21 of the 78 generator slices (178 of
+494 generator columns).  The normalizer and verify_distinctness both
+split their components with decompose_h2, and
+verify_bockstein_injective reads the pivots of the class slice of the
+weight-one block.  Memory is bounded by the slices touched (about
+0.4 MB for two order-6 conjugates, against 0.75 MB for their whole
+blocks).
 
 A block is built and solved on its odd-order coordinates only.  Each
 column and right-hand side is var_theta of a super-degree-2 density; its
@@ -47,11 +65,12 @@ about half the rows.
 
 The generator columns are expanded directly by Leibniz (_ad_p1_column),
 generating only odd-order terms; their mixed derivatives come from one
-variational._DerivativeTable per block, so each monomial is derived once
-per axis, and the table is dropped with the block.  There is no table
-across blocks: one that grows with the process costs more memory than
-it saves time (see variational).  The split-class columns, the c column
-and the lemma verifiers run the Euler operators of variational directly.
+variational._DerivativeTable per slice, so each monomial is derived once
+per axis in a slice, and the table is dropped with the slice.  There is
+no table across slices: one that grows with the process costs more
+memory than it saves time (see variational).  The split-class columns,
+the c column and the lemma verifiers run the Euler operators of
+variational directly.
 """
 
 from __future__ import annotations
@@ -69,17 +88,38 @@ from .schouten import pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, var_theta
 
 
+def _sum_of_products(pairs) -> DiffPoly:
+    """sum of mul(DiffPoly({key: 1}), part) over the (key, part) pairs.
+
+    The products are added into one dict, in order, so every coefficient
+    comes out as a chain of additions would leave it.
+    """
+    acc = {}
+    for key, part in pairs:
+        for k, c in mul(DiffPoly({key: 1}), part).terms.items():
+            prev = acc.get(k)
+            if prev is None:
+                acc[k] = c
+            else:
+                c = prev + c
+                if c == 0:
+                    del acc[k]
+                else:
+                    acc[k] = c
+    return DiffPoly(acc)
+
+
 def delta(a: DiffPoly) -> DiffPoly:
     """The odd derivation sum th^(s,t+1) d/du^(s,t).
 
     Each partial is multiplied by a unit theta with the int coefficient
     1, so every coefficient keeps its type.
     """
-    out = DiffPoly.zero()
-    for s, by_t in _partials(a.terms, "u").items():
-        for t, part in by_t.items():
-            out = out + mul(DiffPoly({(0, (), ((s, t + 1),)): 1}), part)
-    return out
+    return _sum_of_products(
+        ((0, (), ((s, t + 1),)), part)
+        for s, by_t in _partials(a.terms, "u").items()
+        for t, part in by_t.items()
+    )
 
 
 def bockstein_split(t: DiffPoly) -> DiffPoly:
@@ -89,13 +129,11 @@ def bockstein_split(t: DiffPoly) -> DiffPoly:
     delta(bockstein_split(t)) = dy(t).  The unit u-factors have the int
     coefficient 1, so every coefficient keeps its type.
     """
-    out = DiffPoly.zero()
-    for s, by_t in _partials(t.terms, "theta").items():
-        part = by_t.get(0)
-        if part is not None:
-            u_key = (1, (), ()) if s == 0 else (0, (((s, 0), 1),), ())
-            out = out + mul(DiffPoly({u_key: 1}), part)
-    return out
+    return _sum_of_products(
+        ((1, (), ()) if s == 0 else (0, (((s, 0), 1),), ()), by_t[0])
+        for s, by_t in _partials(t.terms, "theta").items()
+        if 0 in by_t
+    )
 
 
 # -- the constant-theta ring --------------------------------------------
@@ -265,32 +303,48 @@ def _odd_part(a: DiffPoly) -> DiffPoly:
     return DiffPoly({k: c for k, c in a.terms.items() if sum(k[2][0]) & 1})
 
 
+def _x_order(key) -> int:
+    """The number of x-derivatives of a monomial, theta factors included."""
+    _, ufs, ths = key
+    return sum(s * e for (s, _), e in ufs) + sum(s for s, _ in ths)
+
+
+def _slices(theta_part: DiffPoly) -> dict:
+    """The odd-order terms of a bivector's var_theta, by (weight, x-order)."""
+    out = {}
+    for key, c in theta_part.terms.items():
+        upow, ufs, ths = key
+        if sum(ths[0]) & 1:
+            w = upow + sum(e for _, e in ufs)
+            out.setdefault((w, _x_order(key)), {})[key] = c
+    return {wa: DiffPoly(terms) for wa, terms in out.items()}
+
+
 class BlockSolution(NamedTuple):
-    """One weight block of P_d = c*p_d + B(chi) + ad_p1(X)."""
+    """One slice of P_d = c*p_d + B(chi) + ad_p1(X)."""
 
     x: DiffPoly  # generator density g of the evolutionary field g*th
-    c: Optional[object]  # coefficient of p_d; None when the block has no c column
+    c: Optional[object]  # coefficient of p_d; None when the slice has no c column
     chi: DiffPoly  # split class part, in the quotient basis
 
 
 class BlockOperator:
-    """The coefficient matrix of the (d, w) block, factorized once.
+    """The coefficient matrix of slice a of the (d, w) block, factorized once.
 
-    Columns are the ad_p1 images of the generator basis Grade(d-1, 0, w+1)
-    first, then the c column (w = 0, d odd), then the split-class columns
-    (w = 1).  X-first ordering keeps the generator pivots those of the
-    generator columns alone, so a right-hand side in their span solves
-    with c = 0 and chi = 0; for genuine cocycles the class columns are
-    independent of the generators and the split is the unique one.
-    Rows are the odd-order coordinates only (see the module docstring).
-    The columns live only while the block is factorized.
+    Rows are the odd-order coordinates of x-order a and y-order d-a (see
+    the module docstring).  For a < d the columns are the ad_p1 images
+    of the generators of Grade(d-1, 0, w+1) with x-order a; slice d
+    holds the class columns only: the c column (w = 0, d odd) and the
+    split-class columns (w = 1).  The columns live only while the slice
+    is factorized.
     """
 
     __slots__ = ("_x_keys", "_c_index", "_chi_keys", "_system")
 
-    def __init__(self, d: int, w: int):
-        self._x_keys = tuple(m.key for m in enumerate_basis(Grade(d - 1, 0, w + 1)))
-        quot = theta_quotient_basis(3, d) if w == 1 else []
+    def __init__(self, d: int, w: int, a: int):
+        basis = enumerate_basis(Grade(d - 1, 0, w + 1)) if a < d else []
+        self._x_keys = tuple(m.key for m in basis if _x_order(m.key) == a)
+        quot = theta_quotient_basis(3, d) if w == 1 and a == d else []
         self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
         # unit monomials with int coefficients keep the generator and
         # split-class columns integral; the generators' mixed derivatives
@@ -298,7 +352,7 @@ class BlockOperator:
         table = _DerivativeTable()
         columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in self._x_keys]
         self._c_index = None
-        if w == 0 and d % 2 == 1:
+        if w == 0 and a == d and d % 2 == 1:
             self._c_index = len(columns)
             columns.append(_odd_part(var_theta(pst(d, 0).density)))
         columns += [
@@ -309,20 +363,23 @@ class BlockOperator:
 
     @property
     def splits_independent(self) -> bool:
-        """Whether the split-class columns stay independent modulo the generators."""
+        """Whether the split-class columns are independent modulo the others.
+
+        In slice d, the only one with split-class columns, there are no
+        others.
+        """
         return self._system.independent_from(self._system.ncols - len(self._chi_keys))
 
-    def solve(self, density: DiffPoly) -> Optional[BlockSolution]:
-        """Split the weight-w bivector block density, or None.
+    def solve(self, rows: DiffPoly) -> Optional[BlockSolution]:
+        """Split the slice's odd-order coordinates of var_theta(P_d), or None.
 
-        The system is read on the odd-order coordinates of
-        var_theta(density); a bivector density gives a skew operator, so
-        they decide it (see the module docstring).  Raises ValueError
-        when the density does not have super degree two.
+        None also when a row lies outside the slice.  Raises ValueError
+        when rows is not a theta derivative of a bivector (super degree
+        one), say the bivector density itself.
         """
-        if not density.is_zero() and density.super_degree() != 2:
-            raise ValueError("BlockOperator.solve expects a bivector block density")
-        sol = self._system.solve(_odd_part(var_theta(density)))
+        if rows.super_degree() != 1:
+            raise ValueError("BlockOperator.solve expects var_theta coordinates")
+        sol = self._system.solve(rows)
         if sol is None:
             return None
         x = DiffPoly({k: v for k, v in zip(self._x_keys, sol) if v != 0})
@@ -333,9 +390,9 @@ class BlockOperator:
 
 
 @lru_cache(maxsize=None)
-def block_operator(d: int, w: int) -> BlockOperator:
-    """The (d, w) block operator, built once per process."""
-    return BlockOperator(d, w)
+def block_operator(d: int, w: int, a: int) -> BlockOperator:
+    """Slice a of the (d, w) block operator, built once per process."""
+    return BlockOperator(d, w, a)
 
 
 @dataclass
@@ -359,11 +416,14 @@ class H2Decomposition:
 def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
     """Solve  P_d = c*p_d [d odd] + B(chi) + ad_p1(X)  exactly.
 
-    Weight blocks are independent: the constant sits at weight zero, the
-    split classes at weight one, and the generator unknown for weight w
-    at weight w+1.  Raises NotACocycle when the input is not closed and
-    InternalInconsistency when a block is infeasible (which the
-    cohomology computation excludes for genuine cocycles).
+    The odd-order coordinates of var_theta(P_d) split by weight and
+    x-order, and each slice is solved on its own (see the module
+    docstring): the constant and the split classes in slice d, the
+    generators of weight w+1 and x-order a in slice a < d of weight w.
+    Only the slices that P_d reaches are built.  Raises NotACocycle when
+    the input is not closed and InternalInconsistency when a slice is
+    infeasible (which the cohomology computation excludes for genuine
+    cocycles).
     """
     p1 = standard_leading_term()
     if not P_d.density.is_zero() and P_d.super_degree() != 2:
@@ -373,19 +433,20 @@ def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
 
     c = QQ(0) if d % 2 == 1 else None
     chi = DiffPoly.zero()
-    x_density = DiffPoly.zero()
-    for w, block in P_d.density.weight_components().items():
-        part = block_operator(d, w).solve(block)
+    x_terms = {}
+    # the cocycle test has computed the variations of P_d, unless P_d is u-free
+    for (w, a), rows in _slices(P_d.variations()[0]).items():
+        part = block_operator(d, w, a).solve(rows)
         if part is None:
             raise InternalInconsistency(
-                f"no decomposition at degree {d}, weight {w}"
+                f"no decomposition at degree {d}, weight {w}, x-order {a}"
             )
         if part.c is not None:
             c = part.c
         chi = chi + part.chi
-        x_density = x_density + part.x
+        x_terms.update(part.x.terms)
 
-    X = evolutionary_field(x_density)
+    X = evolutionary_field(DiffPoly(x_terms))
     result = H2Decomposition(d, c, chi, X)
     _assert_roundtrip(P_d, result)
     return result
@@ -491,8 +552,16 @@ def verify_varder_lemma(d: int) -> bool:
 
 
 def verify_bockstein_injective(d: int) -> bool:
-    """The split classes stay independent modulo adjoint coboundaries."""
-    return block_operator(d, 1).splits_independent
+    """The split classes stay independent modulo adjoint coboundaries.
+
+    Reads the pivots of slice d of the (d, 1) block.  The split-class
+    columns lie in x-order d and y-order 0, every coboundary column in
+    y-order at least one (see the module docstring), so the two share no
+    row: a combination of split columns equal to a coboundary is zero on
+    both sides.  Independence modulo the coboundaries is therefore
+    independence of the split columns alone.
+    """
+    return block_operator(d, 1, d).splits_independent
 
 
 def verify_nontriv_lemma(d: int) -> bool:
@@ -504,12 +573,14 @@ def verify_nontriv_lemma(d: int) -> bool:
 
         [B(chi), B(chi)] = sum_{i <= j} (2 - delta_ij) a_i a_j [B(q_i), B(q_j)],
 
-    so each coordinate of its var_theta and var_u is a quadratic form in
-    a.  When the n(n+1)/2 pair columns (the coordinates of the
-    [B(q_i), B(q_j)], i <= j) are linearly independent, the coordinate
-    forms span every quadratic form in a; each a_i^2 is then a
-    combination of them, and a common zero forces a = 0.  This holds
-    over any field containing QQ, so no test for real roots is needed.
+    so each coordinate of its var_theta is a quadratic form in a (at
+    super degree three var_theta alone decides whether a functional
+    vanishes; see variational).  When the n(n+1)/2 pair columns (the
+    var_theta coordinates of the [B(q_i), B(q_j)], i <= j) are linearly
+    independent, the coordinate forms span every quadratic form in a;
+    each a_i^2 is then a combination of them, and a common zero forces
+    a = 0.  This holds over any field containing QQ, so no test for real
+    roots is needed.
 
     A zero diagonal column makes q_i itself a counterexample: False.
     Otherwise full rank gives True, and a lower rank raises
@@ -525,11 +596,7 @@ def verify_nontriv_lemma(d: int) -> bool:
     cols = []
     for i, Bi in enumerate(splits):
         for Bj in splits[i:]:
-            # a super-3 functional vanishes iff both variational derivatives
-            # do; var_theta has super degree 2 and var_u 3, so their keys
-            # never collide and one column holds both
-            theta, u = schouten(Bi, Bj).variations()
-            col = theta + u
+            col = var_theta(schouten(Bi, Bj))
             if Bi is Bj and col.is_zero():
                 return False
             cols.append(col)

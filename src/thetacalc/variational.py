@@ -3,11 +3,22 @@
 A local functional is a density considered modulo total x- and
 y-derivatives.  Equality in the quotient is decided through the kernel
 characterization: an element is a total divergence exactly when both
-variational derivatives vanish and it has no constant term.  For
-densities of super degree one or two the theta-derivative alone decides
-(the u-derivative of a divergence vanishes automatically once the
-theta-derivative does); this shortcut carries most of the solver load
-and is cross-checked against the full test in the suite.
+variational derivatives vanish and it has no constant term.  At every
+positive super degree the theta-derivative alone decides.  For f with p
+theta factors in each term, p >= 1, the left derivatives satisfy the
+Euler identity sum over (s,t) of th^(s,t) df/dth^(s,t) = p f: each
+term gives back one copy of itself per theta factor.  Integrating by
+parts, th^(s,t) g = (D_x^s D_y^t th) g is congruent to
+th (-D_x)^s (-D_y)^t g modulo divergences, so
+
+    p f  is congruent to  th * var_theta(f)  modulo divergences,
+
+and var_theta(f) = 0 makes f a divergence.  var_theta lowers the
+super degree by one, so it vanishes on a mixed density exactly when it
+vanishes on each homogeneous part; the theta-free part is then the only
+one left to decide, and var_u of the other parts is zero already.  So
+var_u is needed only when some term has no theta.  The suite checks the
+shortcut against the full test at super degrees 0-4.
 
 The Euler operators sum (-D)^k over the partial derivatives by Horner's
 rule, one sweep over the y-order and one over the x-order.  Each sweep
@@ -206,7 +217,8 @@ def is_total_divergence(a: DiffPoly) -> bool:
     """Exact membership test for im dx + im dy.
 
     Both variational derivatives vanish and there is no constant term;
-    in super degrees one and two the theta-derivative alone decides.
+    when every term has a theta, the theta-derivative alone decides (see
+    the module docstring).
     """
     if a.is_zero():
         return True
@@ -214,7 +226,7 @@ def is_total_divergence(a: DiffPoly) -> bool:
         return False
     if not var_theta(a).is_zero():
         return False
-    return {len(ths) for (_, _, ths) in a.terms} <= {1, 2} or var_u(a).is_zero()
+    return all(ths for (_, _, ths) in a.terms) or var_u(a).is_zero()
 
 
 _UNSET = object()  # a cached degree not yet computed (it may be 0 or None)

@@ -31,11 +31,15 @@ def test_traced_functions_resolve(tracer_module):
 
 
 def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
-    from thetacalc.cohomology import block_operator
+    from thetacalc.algebra import DiffPoly
+    from thetacalc.cohomology import block_operator, evolutionary_field
     from thetacalc.normalizer import build_normal_form, normalize
     from thetacalc.rationals import QQ
+    from thetacalc.schouten import miura_apply
 
-    P = build_normal_form([QQ(2), QQ(-1, 3)], 4)
+    # a Miura conjugate: a normal form itself builds no generator column
+    X = evolutionary_field(DiffPoly.u() * DiffPoly.u(1, 0))
+    P = miura_apply(X, build_normal_form([QQ(2), QQ(-1, 3)], 4), 4)
     block_operator.cache_clear()  # a warm cache would skip every elimination
     tracer = tracer_module.Tracer()
     tracer.install()

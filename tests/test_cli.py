@@ -425,6 +425,13 @@ def test_verify_lemmas_checks_every_degree(capsys):
     assert line[0].endswith(" 15:ok 16:ok")
 
 
+def test_verify_lemmas_json_is_pinned(capsys):
+    # the whole output through degree 18, every verdict and key, is pinned
+    assert run_cli(["verify-lemmas", "--max-degree", "18", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "c6c89c667a45b9d02fd353d998c0737d"
+
+
 def test_self_test(capsys):
     assert run_cli(["self-test", "--seed", "3", "--trials", "10"]) == 0
     assert "0 failures" in capsys.readouterr().out

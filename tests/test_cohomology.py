@@ -282,7 +282,35 @@ def _split_reference(sol, basis, has_c, quot):
     return x, c, chi
 
 
+def _x_order(key):
+    _, ufs, ths = key
+    return sum(s * e for (s, _), e in ufs) + sum(s for s, _ in ths)
+
+
+def _y_order(key):
+    _, ufs, ths = key
+    return sum(t * e for (_, t), e in ufs) + sum(t for _, t in ths)
+
+
+def _solve_by_slices(d, w, rhs):
+    """Split the weight-w block density rhs slice by slice, as decompose_h2
+    does; None when a slice is infeasible."""
+    x, c, chi = DiffPoly.zero(), None, DiffPoly.zero()
+    for (wr, a), rows in cohomology._slices(var_theta(rhs)).items():
+        assert wr == w
+        part = block_operator(d, w, a).solve(rows)
+        if part is None:
+            return None
+        x, chi = x + part.x, chi + part.chi
+        if part.c is not None:
+            c = part.c
+    if c is None and w == 0 and d % 2 == 1:
+        c = QQ(0)  # the c column exists, but rhs has no row in its slice
+    return x, c, chi
+
+
 def test_block_operator_matches_direct_solve():
+    # the slice solutions, assembled, are the whole-block solution
     import random
 
     rng = random.Random(17)
@@ -290,7 +318,9 @@ def test_block_operator_matches_direct_solve():
     for d in range(1, 8):
         for w in range(4):
             basis, has_c, quot, cols = _reference_block(d, w)
-            op = block_operator(d, w)
+            # the slices partition the generators
+            keys = [k for a in range(d + 1) for k in block_operator(d, w, a)._x_keys]
+            assert sorted(keys) == sorted(next(iter(m.terms)) for m in basis)
             # the densities whose var_theta are the columns
             densities = [delta(mul(m, th(0, 0))) for m in basis]
             if has_c:
@@ -301,24 +331,50 @@ def test_block_operator_matches_direct_solve():
                 rhs = rhs + dens.scale(QQ(rng.randint(-3, 3), rng.randint(1, 3)))
             sol = reference_solve(cols, var_theta(rhs))
             assert sol is not None
-            assert tuple(op.solve(rhs)) == _split_reference(sol, basis, has_c, quot), (d, w)
-            outside = [foreign]
+            assert _solve_by_slices(d, w, rhs) == _split_reference(sol, basis, has_c, quot), (d, w)
             unit = next(
                 (m.as_poly() for m in enumerate_basis(Grade(d, 2, w))
                  if reference_solve(cols, var_theta(m.as_poly())) is None),
                 None,
             )
             if unit is not None:
-                outside.append(unit + rhs)
-            for target in outside:
-                assert reference_solve(cols, var_theta(target)) is None
-                assert op.solve(target) is None, (d, w)
+                assert _solve_by_slices(d, w, unit + rhs) is None, (d, w)
+    for a in (7, 17):
+        # no slice holds the row, whether or not the slice has columns
+        assert block_operator(7, 0, a).solve(var_theta(foreign)) is None
 
 
-def test_block_solve_rejects_a_theta_derivative():
-    # solve takes the bivector density, not its var_theta
+def test_block_slices_follow_the_x_order_grading():
+    # a generator monomial of x-order a has its column in x-order a,
+    # y-order d - a; the c and split-class columns lie in x-order d, y-order 0
+    for d in range(1, 10):
+        for w in range(5):
+            table = _DerivativeTable()
+            for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
+                a = _x_order(m.key)
+                for key in _ad_p1_column(DiffPoly({m.key: 1}), table).terms:
+                    assert (_x_order(key), _y_order(key)) == (a, d - a), (d, w, m.key)
+        classes = [var_theta(bockstein_split(q)) for q in theta_quotient_basis(3, d)]
+        if d % 2 == 1:
+            classes.append(var_theta(pst(d, 0).density))
+        for col in classes:
+            assert {(_x_order(k), _y_order(k)) for k in col.terms} == {(d, 0)}, d
+
+
+def test_bockstein_check_agrees_with_the_whole_block():
+    # the class slice decides what the whole (d, 1) block decides
+    for d in range(1, 13):
+        basis, _, _, cols = _reference_block(d, 1)
+        assert verify_bockstein_injective(d) == Factorization(cols).independent_from(len(basis)), d
+
+
+def test_block_solve_rejects_a_bivector_density():
+    # solve takes the var_theta coordinates of a slice, not the density
+    density = bockstein_split(theta_monomial((2, 1, 0)))
+    op = block_operator(3, 1, 3)
+    assert op.solve(_odd_order(var_theta(density))) is not None
     with pytest.raises(ValueError):
-        block_operator(3, 1).solve(var_theta(bockstein_split(theta_monomial((2, 1, 0)))))
+        op.solve(density)
 
 
 def _odd_order(poly):
@@ -486,7 +542,7 @@ def test_odd_order_coordinates_decide_bivector_equality(pair):
 
 @pytest.mark.parametrize("w", [1, 2])
 def test_block_columns_derive_each_monomial_once(monkeypatch, w):
-    # the block's generator columns share one derivative table: while they
+    # a slice's generator columns share one derivative table: while they
     # are built, total_derivative runs once per distinct (monomial, axis),
     # always on a unit monomial
     from thetacalc import variational
@@ -508,10 +564,12 @@ def test_block_columns_derive_each_monomial_once(monkeypatch, w):
 
     monkeypatch.setattr(variational, "total_derivative", counting)
     monkeypatch.setattr(cohomology, "_ad_p1_column", generator_column)
-    BlockOperator(7, w)
-    assert calls
-    assert len(calls) == len(set(calls))
-    assert all(len(terms) == 1 and terms[0][1] == 1 for terms, _ in calls)
+    for a in range(7):
+        calls.clear()
+        BlockOperator(7, w, a)
+        assert calls, a
+        assert len(calls) == len(set(calls)), a
+        assert all(len(terms) == 1 and terms[0][1] == 1 for terms, _ in calls)
 
 
 # -- structural lemma verifiers ---------------------------------------------

@@ -322,3 +322,31 @@ def test_normalize_same_with_cold_and_warm_block_cache():
     assert block_operator.cache_info().hits > 0
     assert cold == warm
     assert [c for _, c in cold[0]] == cs
+
+
+def test_normal_form_builds_only_class_slices(monkeypatch):
+    # the components of a normal form lie in x-order d, y-order 0, so
+    # normalizing one builds the class slices and no generator column
+    from thetacalc import cohomology
+
+    built = []
+
+    class Recording(cohomology.BlockOperator):
+        __slots__ = ()
+
+        def __init__(self, d, w, a):
+            built.append((d, w, a))
+            super().__init__(d, w, a)
+
+    def no_generator_column(m, table):
+        raise AssertionError("a generator column was built")
+
+    monkeypatch.setattr(cohomology, "BlockOperator", Recording)
+    monkeypatch.setattr(cohomology, "_ad_p1_column", no_generator_column)
+    cohomology.block_operator.cache_clear()
+    try:
+        res = normalize(build_normal_form([QQ(5), QQ(-7), QQ(1, 3)], 7))
+    finally:
+        cohomology.block_operator.cache_clear()
+    assert res.invariant_values() == [QQ(5), QQ(-7), QQ(1, 3)]
+    assert built == [(3, 0, 3), (5, 0, 5), (7, 0, 7)]

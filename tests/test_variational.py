@@ -292,11 +292,15 @@ def full_divergence_test(a):
     return var_theta(a).is_zero() and var_u(a).is_zero()
 
 
-@settings(max_examples=60)
-@given(small_poly())
-def test_quotient_shortcut_agrees_with_full_test(a):
-    # for super degrees one and two the theta derivative alone decides
-    assert is_total_divergence(a) == full_divergence_test(a)
+@settings(max_examples=150, deadline=None)
+@given(small_poly(pmax=4), small_poly(dmax=4, pmax=4), small_poly(dmax=4, pmax=4))
+def test_quotient_shortcut_agrees_with_full_test(a, b, c):
+    # when every term has a theta, the theta derivative alone decides; at
+    # super degrees 0-4, on a, on a divergence, and on the divergence
+    # perturbed by a (which may mix super degrees)
+    div = b.dx() + c.dy()
+    for f in (a, div, div + a):
+        assert is_total_divergence(f) == full_divergence_test(f)
 
 
 def test_functional_equality_is_divergence_aware():
