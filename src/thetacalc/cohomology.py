@@ -36,17 +36,18 @@ column), so slice by slice gives the pivots and solutions of the
 whole block.
 
 block_operator(d, w, a) builds and eliminates one slice once and
-memoizes it for the life of the process.  decompose_h2 is the one loop
-that solves through it: it groups the odd-order coordinates of
-var_theta(P_d) by (weight, x-order), builds only the slices they
-reach, and replays each slice's recorded elimination on its group.  On
-two order-6 conjugates they reach 21 of the 78 generator slices (178 of
-494 generator columns).  The normalizer and verify_distinctness both
-split their components with decompose_h2, and
-verify_bockstein_injective reads the pivots of the class slice of the
-weight-one block.  Memory is bounded by the slices touched (about
-0.4 MB for two order-6 conjugates, against 0.75 MB for their whole
-blocks).
+memoizes it for the life of the process; the generator basis of a block
+is enumerated once, grouped by x-order, and each slice takes its group.
+decompose_h2 is the one loop that solves through it: it groups the
+odd-order coordinates of var_theta(P_d) by (weight, x-order), builds
+only the slices they reach, and replays each slice's recorded
+elimination on its group.  On two order-6 conjugates they reach 21 of
+the 78 generator slices (178 of 494 generator columns).  The normalizer
+and verify_distinctness both split their components with decompose_h2,
+and verify_bockstein_injective reads the pivots of the class slice of
+the weight-one block.  Memory is bounded by the slices and the blocks
+touched (about 0.45 MB for two order-6 conjugates, 0.12 MB of it the
+grouped generator keys, against 0.75 MB for their whole blocks).
 
 A block is built and solved on its odd-order coordinates only.  Each
 column and right-hand side is var_theta of a super-degree-2 density; its
@@ -85,7 +86,7 @@ from .errors import InternalInconsistency, NotACocycle
 from .linsolve import Factorization
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
-from .variational import Functional, _DerivativeTable, var_theta
+from .variational import Functional, _DerivativeTable, var_theta, var_u
 
 
 def _sum_of_products(pairs) -> DiffPoly:
@@ -320,6 +321,18 @@ def _slices(theta_part: DiffPoly) -> dict:
     return {wa: DiffPoly(terms) for wa, terms in out.items()}
 
 
+@lru_cache(maxsize=None)
+def _generator_keys(d: int, w: int) -> dict:
+    """The generator keys of the (d, w) block, Grade(d-1, 0, w+1), by x-order.
+
+    Enumerated once per block and shared by its slices.
+    """
+    out = {}
+    for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
+        out.setdefault(_x_order(m.key), []).append(m.key)
+    return {a: tuple(keys) for a, keys in out.items()}
+
+
 class BlockSolution(NamedTuple):
     """One slice of P_d = c*p_d + B(chi) + ad_p1(X)."""
 
@@ -342,8 +355,7 @@ class BlockOperator:
     __slots__ = ("_x_keys", "_c_index", "_chi_keys", "_system")
 
     def __init__(self, d: int, w: int, a: int):
-        basis = enumerate_basis(Grade(d - 1, 0, w + 1)) if a < d else []
-        self._x_keys = tuple(m.key for m in basis if _x_order(m.key) == a)
+        self._x_keys = _generator_keys(d, w).get(a, ()) if a < d else ()
         quot = theta_quotient_basis(3, d) if w == 1 and a == d else []
         self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
         # unit monomials with int coefficients keep the generator and
@@ -483,7 +495,11 @@ def verify_square_lemma(k: int) -> bool:
     whose image never produces the isolated product monomial.
     Infeasibility of every chain system rules out squares with two or
     more nonzero coefficients; a feasible one means the check cannot
-    decide.  Both undecided cases raise InternalInconsistency.
+    decide.  Both undecided cases raise InternalInconsistency.  The chain
+    and its block depend on (k, t) alone, not on s, so the chain system
+    of each leading index t is factorized once and every pair (s, t) is
+    solved by replaying that elimination; the first pair tried is
+    (support[1], support[0]).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -510,25 +526,24 @@ def verify_square_lemma(k: int) -> bool:
             raise InternalInconsistency(
                 f"outer-sum split leaks at k={k}; the check cannot decide"
             )
-    for b in range(len(support)):
-        for a in range(b):
-            t, s = support[a], support[b]
+    for a, t in enumerate(support[:-1]):
+        block_keys = {
+            next(iter(theta_monomial((i, t, k - t, k - i)).terms))
+            for i in range(t + 1, k + 1)
+        }
+        chain = []
+        for l in range(t + 1, k):
+            idx = (l, t, k - t, k - l - 1)
+            if len(set(idx)) < 4:
+                continue
+            mono = theta_monomial(tuple(sorted(idx, reverse=True)))
+            chain.append(_restrict(mono.dx(), block_keys))
+        system = Factorization(chain)
+        for s in support[a + 1 :]:
             target = mul(pair[s], pair[t])
             if target.is_zero():
                 continue
-            block_keys = {
-                next(iter(theta_monomial((i, t, k - t, k - i)).terms))
-                for i in range(t + 1, k + 1)
-            }
-            chain = []
-            for l in range(t + 1, k):
-                idx = (l, t, k - t, k - l - 1)
-                if len(set(idx)) < 4:
-                    continue
-                mono = theta_monomial(tuple(sorted(idx, reverse=True)))
-                chain.append(_restrict(mono.dx(), block_keys))
-            rhs = _restrict(target, block_keys)
-            if Factorization(chain).solve(rhs) is not None:
+            if system.solve(_restrict(target, block_keys)) is not None:
                 raise InternalInconsistency(
                     f"chain system feasible at k={k}, pair ({s},{t}); "
                     "the check cannot decide"
@@ -573,11 +588,20 @@ def verify_nontriv_lemma(d: int) -> bool:
 
         [B(chi), B(chi)] = sum_{i <= j} (2 - delta_ij) a_i a_j [B(q_i), B(q_j)],
 
-    so each coordinate of its var_theta is a quadratic form in a (at
-    super degree three var_theta alone decides whether a functional
-    vanishes; see variational).  When the n(n+1)/2 pair columns (the
-    var_theta coordinates of the [B(q_i), B(q_j)], i <= j) are linearly
-    independent, the coordinate forms span every quadratic form in a;
+    so each coordinate of its var_u is a quadratic form in a.  var_u
+    decides here: B(q) is linear in u, and a bracket multiplies var_theta
+    of one operand (linear in u) by var_u of the other (u-free), so every
+    pair bracket has u-weight one, where var_u is injective on the
+    quotient (w f is congruent to u * var_u(f); see variational).  A
+    combination of pair brackets is therefore zero as a functional
+    exactly when the same combination of their var_u columns is zero:
+    the columns have the linear dependencies, hence the pivots and the
+    zero columns, of the brackets themselves.  The var_theta columns
+    (injective at super degree three) would give the same, but var_u is
+    cheaper: each bracket term has one u-factor u^(a,0) but three theta
+    factors.  When the n(n+1)/2 pair columns (the var_u coordinates of
+    the [B(q_i), B(q_j)], i <= j) are linearly independent, the
+    coordinate forms span every quadratic form in a;
     each a_i^2 is then a combination of them, and a common zero forces
     a = 0.  This holds over any field containing QQ, so no test for real
     roots is needed.
@@ -596,7 +620,7 @@ def verify_nontriv_lemma(d: int) -> bool:
     cols = []
     for i, Bi in enumerate(splits):
         for Bj in splits[i:]:
-            col = var_theta(schouten(Bi, Bj))
+            col = var_u(schouten(Bi, Bj))
             if Bi is Bj and col.is_zero():
                 return False
             cols.append(col)

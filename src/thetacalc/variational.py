@@ -20,6 +20,20 @@ one left to decide, and var_u of the other parts is zero already.  So
 var_u is needed only when some term has no theta.  The suite checks the
 shortcut against the full test at super degrees 0-4.
 
+The u operator satisfies the same identity by u-weight.  For f of
+u-weight w >= 1 (w factors u^(s,t) in each term), sum over (s,t) of
+u^(s,t) df/du^(s,t) = w f, and since u is even, u^(s,t) g is congruent
+to u (-D_x)^s (-D_y)^t g modulo divergences, with no sign.  So
+
+    w f  is congruent to  u * var_u(f)  modulo divergences,
+
+and var_u is injective on the quotient at every weight w >= 1, as
+var_theta is at every positive super degree.  On a density of positive
+u-weight and positive super degree either operator decides, and the
+cheaper one is the one whose variable has fewer factors per term:
+cohomology.verify_nontriv_lemma ranks var_u of self-brackets that carry
+one u-factor but three theta factors in each term.
+
 The Euler operators sum (-D)^k over the partial derivatives by Horner's
 rule, one sweep over the y-order and one over the x-order.  Each sweep
 folds the sign into the partials, B_k = D B_(k+1) + (-1)^k f_k, instead

@@ -31,7 +31,7 @@ from thetacalc.errors import InternalInconsistency, NotACocycle
 from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
-from thetacalc.variational import Functional, _DerivativeTable, var_theta
+from thetacalc.variational import Functional, _DerivativeTable, var_theta, var_u
 
 u = DiffPoly.u
 th = DiffPoly.theta
@@ -639,6 +639,25 @@ def test_square_lemma_cannot_decide_a_leaking_split(monkeypatch, k):
         verify_square_lemma(k)
 
 
+def test_square_lemma_factorizes_one_chain_per_leading_index(monkeypatch):
+    # at k = 12 the support is 7..12: one leak factorization, then one
+    # chain factorization for each leading index t = 7..11, not one per
+    # pair (s, t)
+    built = []
+
+    class _Counting(Factorization):
+        def __init__(self, columns):
+            built.append(columns)
+            super().__init__(columns)
+
+    monkeypatch.setattr(cohomology, "Factorization", _Counting)
+    assert verify_square_lemma(12)
+    assert len(built) == 6
+    # every column of the chain of t lives on monomials holding th^(t,0)
+    for t, chain in zip(range(7, 12), built[1:]):
+        assert all(t in cohomology._theta_key(key) for col in chain for key in col.terms), t
+
+
 def test_varder_lemma_small_range():
     for d in range(1, 9):
         assert verify_varder_lemma(d)
@@ -668,6 +687,22 @@ def test_nontriv_agrees_with_the_reference_up_to_quotient_dimension_two():
     assert len(degrees) == 12
     for d in degrees:
         assert verify_nontriv_lemma(d) == reference_nontriv(d), d
+
+
+def _pair_columns(d, euler):
+    splits = [Functional(bockstein_split(q)) for q in theta_quotient_basis(3, d)]
+    return [euler(schouten(Bi, Bj)) for i, Bi in enumerate(splits) for Bj in splits[i:]]
+
+
+def test_nontriv_var_u_and_var_theta_pair_columns_agree():
+    # both operators are injective on the pair brackets (u-weight one,
+    # super degree three), so their columns have the same dependencies
+    degrees = [d for d in range(1, 23) if theta_quotient_basis(3, d)]
+    assert len(degrees) == 19
+    for d in degrees:
+        by_u, by_theta = _pair_columns(d, var_u), _pair_columns(d, var_theta)
+        assert Factorization(by_u).pivot_columns == Factorization(by_theta).pivot_columns, d
+        assert [c.is_zero() for c in by_u] == [c.is_zero() for c in by_theta], d
 
 
 def test_nontriv_is_false_on_a_zero_self_bracket(monkeypatch):

@@ -12,6 +12,7 @@ from thetacalc.algebra import (
     enumerate_basis,
     mul,
     partial_derivative,
+    random_element,
     total_derivative,
 )
 from thetacalc.linsolve import Factorization
@@ -301,6 +302,27 @@ def test_quotient_shortcut_agrees_with_full_test(a, b, c):
     div = b.dx() + c.dy()
     for f in (a, div, div + a):
         assert is_total_divergence(f) == full_divergence_test(f)
+
+
+def test_u_euler_identity():
+    # w f = u var_u(f) modulo divergences for f of u-weight w >= 1, so
+    # var_u alone decides whether f is a divergence; about one draw in
+    # six is a divergence
+    import random
+
+    rng = random.Random(17)
+    checked = divergences = 0
+    while checked < 300:
+        f = random_element(rng)
+        w = 0 if f.is_zero() else f.grade().w
+        if w == 0:
+            continue
+        assert full_divergence_test(f.scale(QQ(w)) - mul(u(), var_u(f))), f
+        verdict = full_divergence_test(f)
+        assert var_u(f).is_zero() == verdict, f
+        checked += 1
+        divergences += verdict
+    assert 0 < divergences < checked
 
 
 def test_functional_equality_is_divergence_aware():
