@@ -440,6 +440,10 @@ def _derivative_multisets(degree: int, max_count: int):
     indices = sorted(
         (s, d - s) for d in range(1, degree + 1) for s in range(d + 1)
     )
+    # the positions of the indices of each degree, ascending
+    positions = {}
+    for i, (s, t) in enumerate(indices):
+        positions.setdefault(s + t, []).append(i)
 
     def rec(pos, deg_left, count_left):
         if deg_left == 0:
@@ -447,6 +451,12 @@ def _derivative_multisets(degree: int, max_count: int):
             return
         if count_left == 0:
             # degree left but no factor left: no later index can help
+            return
+        if count_left == 1:
+            # one factor left: it must carry the whole degree left
+            for i in positions[deg_left]:
+                if i >= pos:
+                    yield ((indices[i], 1),)
             return
         for i in range(pos, len(indices)):
             idx = indices[i]

@@ -481,15 +481,66 @@ def _restrict(poly: DiffPoly, keys) -> DiffPoly:
     return DiffPoly({k: c for k, c in poly.terms.items() if k in keys})
 
 
+def _dx_tuples(ks) -> list:
+    """The monomials of dx(th^(k0,0) th^(k1,0) ...), k0 > k1 > ..., as
+    index tuples; each has coefficient +1.
+
+    dx is an even derivation: it raises one index by one and never
+    reorders, and a raised index that meets its left neighbour gives
+    zero.
+    """
+    return [
+        ks[:i] + (ks[i] + 1,) + ks[i + 1 :]
+        for i in range(len(ks))
+        if i == 0 or ks[i] + 1 < ks[i - 1]
+    ]
+
+
+def _outer_split_is_triangular(k: int) -> bool:
+    """The leading-monomial certificate of verify_square_lemma's split.
+
+    Over the index tuples k0 > k1 > k2 > k3 >= 0 of the four-theta
+    monomials of degree 2k-1: True when the leads (lexicographically
+    largest monomials) of the upper images (k0 + k3 >= k) are distinct
+    and none is a monomial of a lower image (k0 + k3 <= k-1).
+    """
+    leads = set()
+    seen = set()
+    upper = 0
+    for ks in _descending_tuples(4, 2 * k - 1, 2 * k - 1):
+        image = _dx_tuples(ks)
+        if ks[0] + ks[3] >= k:
+            upper += 1
+            leads.add(max(image))
+        else:
+            seen.update(image)
+    return len(leads) == upper and leads.isdisjoint(seen)
+
+
 def verify_square_lemma(k: int) -> bool:
     """Check that no square of a degree-k two-theta element is dx-exact.
 
     An element a = sum a_i th^i th^(k-i) has square supported on the
     span of products of pairs of its monomials; the square is dx-exact
     when it lies in the image of dx on the four-theta polynomials of
-    degree 2k-1.  Split that preimage space by the outer index sum: the
-    half with sum >= k cannot reach the span of monomials seen by the
-    other half (checked exactly; a leak means the check cannot decide).
+    degree 2k-1.  Split that preimage space by the outer index sum
+    k0 + k3 of its monomials th^(k0) th^(k1) th^(k2) th^(k3),
+    k0 > k1 > k2 > k3: the upper half (sum >= k) cannot reach the span
+    of the monomials seen by the lower half's images.  The proof is a
+    triangular certificate (_outer_split_is_triangular).  dx raises one
+    index by one with coefficient +1 and never reorders, so the image of
+    an upper monomial has the k0-raised tuple as its lexicographically
+    largest monomial, its lead, with coefficient +1 and outer sum at
+    least k+1, while every monomial of a lower image has outer sum at
+    most k.  The certificate takes each lead as the largest monomial of
+    its image and checks that the leads are distinct and unseen.  In a
+    nonzero combination of upper images take the largest lead among the
+    images with a nonzero coefficient: every other image of the
+    combination lives below its own, smaller, lead, so that lead keeps
+    its nonzero coefficient, and it is not seen.  So no nonzero
+    combination of upper images lies on the seen monomials; a failed
+    certificate means the check cannot decide.
+
     Per candidate leading pair (s, t), the only preimage monomials that
     touch the block with middle pair (t, k-t) form a two-banded chain
     whose image never produces the isolated product monomial.
@@ -507,25 +558,11 @@ def verify_square_lemma(k: int) -> bool:
     support = list(range(k // 2 + 1, k + 1))  # i > k - i >= 0
     if len(support) < 2:
         return True
+    if not _outer_split_is_triangular(k):
+        raise InternalInconsistency(
+            f"outer-sum split leaks at k={k}; the check cannot decide"
+        )
     pair = {i: theta_monomial((i, k - i)) for i in support}
-    seen = set()
-    upper_images = []
-    for b in theta_basis(4, 2 * k - 1):
-        image = b.dx()
-        ks = _theta_key(next(iter(b.terms)))
-        if ks[0] + ks[3] <= k - 1:
-            seen.update(image.terms)
-        else:
-            upper_images.append(image)
-    if upper_images and seen:
-        # the unit monomials are independent, so they stay independent
-        # modulo the upper images exactly when no nonzero combination of
-        # upper images lives on the seen monomials alone
-        units = [DiffPoly({key: QQ(1)}) for key in sorted(seen)]
-        if not Factorization(upper_images + units).independent_from(len(upper_images)):
-            raise InternalInconsistency(
-                f"outer-sum split leaks at k={k}; the check cannot decide"
-            )
     for a, t in enumerate(support[:-1]):
         block_keys = {
             next(iter(theta_monomial((i, t, k - t, k - i)).terms))
@@ -551,19 +588,33 @@ def verify_square_lemma(k: int) -> bool:
     return True
 
 
+def _is_three_theta_derivative(g: DiffPoly) -> bool:
+    """Whether the two-theta g is var_theta of a three-theta density:
+    exactly when var_theta(th * g) = 3g (see verify_varder_lemma)."""
+    return var_theta(mul(DiffPoly.theta(0, 0), g)) == g.scale(3)
+
+
 def verify_varder_lemma(d: int) -> bool:
     """No three-theta element has a single pair monomial as its
-    theta variational derivative."""
+    theta variational derivative.
+
+    For a target g = th^(d-i,0) th^(i,0), 0 <= i < d-i, some f in the
+    span of theta_basis(3, d) has var_theta(f) = g exactly when
+    var_theta(th * g) = 3g, so one Euler operator per target decides.
+    If var_theta(f) = g, the theta Euler identity (see variational)
+    gives 3f congruent to th * g modulo divergences, and var_theta,
+    which kills divergences, gives var_theta(th * g) = 3g.  Conversely,
+    for i >= 1 the product th * g = th^(d-i,0) th^(i,0) th is a standard
+    monomial of degree d (moving th past two odd factors gives no sign),
+    so f = th * g / 3 lies in the span and var_theta(f) = g; for i = 0
+    the product is zero, var_theta of it is not 3g, and no f exists.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    cols = [var_theta(b) for b in theta_basis(3, d)]
-    if not cols:
-        return True
-    system = Factorization(cols)
-    for i in range(0, (d - 1) // 2 + 1):
-        if system.solve(theta_monomial((d - i, i))) is not None:
-            return False
-    return True
+    return not any(
+        _is_three_theta_derivative(theta_monomial((d - i, i)))
+        for i in range(0, (d - 1) // 2 + 1)
+    )
 
 
 def verify_bockstein_injective(d: int) -> bool:

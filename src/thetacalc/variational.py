@@ -13,7 +13,14 @@ th (-D_x)^s (-D_y)^t g modulo divergences, so
 
     p f  is congruent to  th * var_theta(f)  modulo divergences,
 
-and var_theta(f) = 0 makes f a divergence.  var_theta lowers the
+and var_theta(f) = 0 makes f a divergence.  Applying var_theta, which
+kills divergences, gives var_theta(th * g) = p g for every g =
+var_theta(f); conversely, var_theta(th * g) = p g makes th * g / p a
+preimage of g.  So at super degree p a density g of super degree p-1
+is a theta variational derivative exactly when var_theta(th * g) = p g,
+one Euler operator instead of a solve:
+cohomology.verify_varder_lemma decides each of its targets this way,
+with p = 3.  var_theta lowers the
 super degree by one, so it vanishes on a mixed density exactly when it
 vanishes on each homogeneous part; the theta-free part is then the only
 one left to decide, and var_u of the other parts is zero already.  So

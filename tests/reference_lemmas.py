@@ -1,0 +1,52 @@
+"""Reference decisions of the square lemma's outer-sum split and of the
+varder lemma by elimination, for tests only.
+
+reference_split_leaks is the leak check that
+thetacalc.cohomology.verify_square_lemma replaced by its leading-monomial
+certificate: the dx images of the four-theta basis monomials of degree
+2k-1 are split by the outer index sum of their preimage, the monomials
+of the lower images (sum <= k-1) are collected, and one factorization of
+the upper images followed by those unit monomials tells whether the
+units stay independent modulo the upper images.  The split leaks when
+they do not.
+
+reference_varder_solvable is the decision that verify_varder_lemma
+replaced by the theta Euler identity: var_theta of every basis monomial
+of theta_basis(3, d) is one column, and each target th^(d-i,0) th^(i,0)
+is solved over those columns.
+"""
+
+from thetacalc.algebra import DiffPoly
+from thetacalc.cohomology import _theta_key, theta_basis, theta_monomial
+from thetacalc.linsolve import Factorization
+from thetacalc.rationals import QQ
+from thetacalc.variational import var_theta
+
+
+def reference_split_leaks(k):
+    """True when some nonzero combination of upper images lives on the
+    monomials of the lower images."""
+    seen = set()
+    upper_images = []
+    for b in theta_basis(4, 2 * k - 1):
+        image = b.dx()
+        ks = _theta_key(next(iter(b.terms)))
+        if ks[0] + ks[3] <= k - 1:
+            seen.update(image.terms)
+        else:
+            upper_images.append(image)
+    if not (upper_images and seen):
+        return False
+    units = [DiffPoly({key: QQ(1)}) for key in sorted(seen)]
+    return not Factorization(upper_images + units).independent_from(len(upper_images))
+
+
+def reference_varder_solvable(d):
+    """Per target th^(d-i,0) th^(i,0), i = 0..(d-1)//2: whether it is
+    var_theta of some element of span(theta_basis(3, d))."""
+    cols = [var_theta(b) for b in theta_basis(3, d)]
+    targets = [theta_monomial((d - i, i)) for i in range(0, (d - 1) // 2 + 1)]
+    if not cols:
+        return [False] * len(targets)
+    system = Factorization(cols)
+    return [system.solve(g) is not None for g in targets]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thetacalc.algebra import (
     DiffPoly,
     Grade,
+    _derivative_multisets,
     enumerate_basis,
     grade_of,
     mul,
@@ -331,6 +332,32 @@ def test_basis_of_long_generator_grades():
     want |= {(0, ufs, ()) for ufs in pairs}
     keys = [m.key for m in enumerate_basis(Grade(30, 0, 2))]
     assert len(keys) == len(want) and set(keys) == want
+
+
+def _full_multiset_search(degree, max_count):
+    """Every index multiset by a search that scans the whole index list
+    at every level, the last factor included."""
+    indices = sorted((s, d - s) for d in range(1, degree + 1) for s in range(d + 1))
+
+    def rec(pos, deg_left, count_left):
+        if deg_left == 0:
+            yield ()
+            return
+        for i in range(pos, len(indices)):
+            step = sum(indices[i])
+            for e in range(1, min(count_left, deg_left // step) + 1):
+                for rest in rec(i + 1, deg_left - step * e, count_left - e):
+                    yield ((indices[i], e),) + rest
+
+    return list(rec(0, degree, max_count))
+
+
+def test_derivative_multisets_match_the_full_search():
+    # same multisets in the same order, with the last factor looked up
+    # by its degree
+    for degree in range(13):
+        for count in range(8):
+            assert list(_derivative_multisets(degree, count)) == _full_multiset_search(degree, count)
 
 
 def test_basis_enumeration_does_no_dead_search():

@@ -69,7 +69,7 @@ def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        # each square check runs its leak check and its chain systems
+        # each square check runs its chain systems
         verdicts = [verify_square_lemma(4), verify_square_lemma(5),
                     verify_varder_lemma(5), verify_bockstein_injective(5)]
     finally:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
 from reference_euler import reference_ad_p1_column, reference_bockstein_split, reference_delta
+from reference_lemmas import reference_split_leaks, reference_varder_solvable
 from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
@@ -618,11 +619,6 @@ class _AlwaysFeasible(Factorization):
         return [QQ(0)] * self.ncols
 
 
-class _NeverIndependent(Factorization):
-    def independent_from(self, first):
-        return False
-
-
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_square_lemma_cannot_decide_a_feasible_chain(monkeypatch, k):
     # every k runs the chain systems, also those where the products
@@ -634,15 +630,51 @@ def test_square_lemma_cannot_decide_a_feasible_chain(monkeypatch, k):
 
 @pytest.mark.parametrize("k", [5, 6])
 def test_square_lemma_cannot_decide_a_leaking_split(monkeypatch, k):
-    monkeypatch.setattr(cohomology, "Factorization", _NeverIndependent)
+    monkeypatch.setattr(cohomology, "_outer_split_is_triangular", lambda k: False)
     with pytest.raises(InternalInconsistency, match="outer-sum split leaks"):
         verify_square_lemma(k)
 
 
+def test_outer_split_certificate_agrees_with_the_leak_elimination():
+    # the certificate holds where the elimination finds no leak, k <= 26
+    for k in range(1, 27):
+        assert not reference_split_leaks(k), k
+        assert cohomology._outer_split_is_triangular(k), k
+        assert verify_square_lemma(k), k
+
+
+def test_dx_tuples_are_the_terms_of_dx():
+    # the tuple model of the certificate: every term of dx of a
+    # four-theta monomial, each with coefficient +1; the largest is the
+    # one with k0 raised
+    for deg in range(6, 24):
+        for ks in cohomology._descending_tuples(4, deg, deg):
+            raised = cohomology._dx_tuples(ks)
+            want = DiffPoly.zero()
+            for t in raised:
+                want = want + theta_monomial(t)
+            assert theta_monomial(ks).dx() == want, ks
+            assert max(raised) == (ks[0] + 1,) + ks[1:], ks
+
+
+def test_outer_split_certificate_sees_a_repeated_lead(monkeypatch):
+    # distinct four-theta monomials have distinct leads; a monomial listed
+    # twice gives two equal leads, and the certificate fails
+    real = cohomology._descending_tuples
+
+    def twice(count, deg, cap):
+        for ks in real(count, deg, cap):
+            yield ks
+            yield ks
+
+    monkeypatch.setattr(cohomology, "_descending_tuples", twice)
+    assert not cohomology._outer_split_is_triangular(6)
+
+
 def test_square_lemma_factorizes_one_chain_per_leading_index(monkeypatch):
-    # at k = 12 the support is 7..12: one leak factorization, then one
-    # chain factorization for each leading index t = 7..11, not one per
-    # pair (s, t)
+    # at k = 12 the support is 7..12: one chain factorization for each
+    # leading index t = 7..11, not one per pair (s, t); the outer-sum
+    # split is decided without elimination
     built = []
 
     class _Counting(Factorization):
@@ -652,15 +684,28 @@ def test_square_lemma_factorizes_one_chain_per_leading_index(monkeypatch):
 
     monkeypatch.setattr(cohomology, "Factorization", _Counting)
     assert verify_square_lemma(12)
-    assert len(built) == 6
+    assert len(built) == 5
     # every column of the chain of t lives on monomials holding th^(t,0)
-    for t, chain in zip(range(7, 12), built[1:]):
+    for t, chain in zip(range(7, 12), built):
         assert all(t in cohomology._theta_key(key) for col in chain for key in col.terms), t
 
 
 def test_varder_lemma_small_range():
     for d in range(1, 9):
         assert verify_varder_lemma(d)
+
+
+def test_varder_lemma_agrees_with_the_elimination():
+    # per target, the Euler criterion var_theta(th * g) == 3g against a
+    # solve over the var_theta columns of theta_basis(3, d), d <= 26
+    for d in range(1, 27):
+        want = reference_varder_solvable(d)
+        got = [
+            cohomology._is_three_theta_derivative(theta_monomial((d - i, i)))
+            for i in range((d - 1) // 2 + 1)
+        ]
+        assert got == want, d
+        assert not any(want) and verify_varder_lemma(d), d
 
 
 def test_splitting_injective_small_range():

@@ -325,6 +325,38 @@ def test_u_euler_identity():
     assert 0 < divergences < checked
 
 
+def test_theta_euler_identity():
+    # 3f = th var_theta(f) modulo divergences at super degree 3, so
+    # g = var_theta(f) satisfies var_theta(th g) = 3g; every draw has
+    # g != 0, a positive case of the varder lemma's criterion
+    import random
+
+    from thetacalc.cohomology import _is_three_theta_derivative, theta_basis
+
+    rng = random.Random(18)
+    draws = []
+    while len(draws) < 200:
+        f = random_element(rng)
+        if not f.is_zero() and f.grade().p == 3:
+            draws.append(f)
+    for d in range(3, 13):
+        basis = theta_basis(3, d)
+        for _ in range(15):
+            f = DiffPoly.zero()
+            for b in rng.sample(basis, min(3, len(basis))):
+                f = f + b.scale(QQ(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+            draws.append(f)
+    checked = 0
+    for f in draws:
+        g = var_theta(f)
+        if g.is_zero():
+            continue
+        assert var_theta(mul(th(0, 0), g)) == g.scale(3), f
+        assert _is_three_theta_derivative(g), f
+        checked += 1
+    assert checked >= 300
+
+
 def test_functional_equality_is_divergence_aware():
     # the two densities of the same class from integration by parts
     f = Functional(th(0, 0) * th(2, 1))
