@@ -23,6 +23,7 @@ from .errors import (
     NonconstantInvariant,
     NonstandardLeadingTerm,
     ObstructionNonzeroBockstein,
+    ThetaCalcError,
 )
 from .rationals import QQ
 from .schouten import (
@@ -84,17 +85,35 @@ def _require_standard_leading(P: BracketSeries) -> None:
 def normalize(P: BracketSeries, order: int | None = None) -> NormalizationResult:
     """Reduce a bracket with standard leading term to its normal form.
 
-    The full Jacobi check of the truncated input always runs first and
-    raises JacobiViolation; the per-degree cocycle traps stay in place.
+    The Jacobi verdict comes from the degree loop.  When a step fails
+    (any ThetaCalcError), jacobi_check runs on the truncated input, and
+    a violation raises JacobiViolation at its lowest degree; otherwise
+    the step's own error is raised.  When every step passes, the loop
+    has proved [P, P] = 0 through degree order+2, all that jacobi_check
+    tests.  Each step applies exp(ad Y), an automorphism of the bracket
+    that keeps the lower degrees, so [P, P] vanishes through degree d+1
+    exactly when [cur, cur] does.  At step d the components of cur below
+    d are in normal form, hence u-free, and brackets of u-free elements
+    vanish, so the degree-(d+1) part of [cur, cur] is 2 [p1, cur_d],
+    which is zero when cur_d decomposes (see decompose_h2).  So every
+    input gets the result, the error and the degree that a Jacobi check
+    run first would give.
     """
     if order is None:
         order = P.order
-    cur = P.truncate(order)
-    _require_standard_leading(cur)
-    verdict = jacobi_check(cur, order)
-    if verdict != "ok":
-        raise JacobiViolation(verdict)
+    truncated = P.truncate(order)
+    _require_standard_leading(truncated)
+    try:
+        return _normalize_steps(truncated, order)
+    except ThetaCalcError:
+        verdict = jacobi_check(truncated, order)
+        if verdict != "ok":
+            raise JacobiViolation(verdict) from None
+        raise
 
+
+def _normalize_steps(cur: BracketSeries, order: int) -> NormalizationResult:
+    """The degree loop of normalize, on the truncated input."""
     invariants = []
     generators = []
     for d in range(2, order + 2):

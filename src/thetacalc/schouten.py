@@ -45,18 +45,20 @@ def _super_degree(F: Functional) -> int:
 def schouten(P: Functional, Q: Functional) -> Functional:
     """Schouten-Nijenhuis bracket of homogeneous multivectors.
 
-    Reads only the variations of P and Q, which each Functional computes
-    once; elements with no u dependence have vanishing u-derivative on
-    both slots, so the bracket of two of them is zero.
+    The bracket is var_theta(P) var_u(Q) + (-1)^p var_u(P) var_theta(Q),
+    and it reads only the variations of the products it needs, which
+    each Functional computes once: an operand with no u dependence has
+    var_u = 0, so its product is skipped and the other operand's
+    var_theta is not computed; the bracket of two such operands is zero.
     """
     p = _super_degree(P)
     _super_degree(Q)
-    if P.density.is_u_free() and Q.density.is_u_free():
+    P_free = P.density.is_u_free()
+    Q_free = Q.density.is_u_free()
+    if P_free and Q_free:
         return Functional.zero()
-    theta_P, u_P = P.variations()
-    theta_Q, u_Q = Q.variations()
-    first = mul(theta_P, u_Q)
-    second = mul(u_P, theta_Q)
+    first = DiffPoly.zero() if Q_free else mul(P.theta_variation(), Q.u_variation())
+    second = DiffPoly.zero() if P_free else mul(P.u_variation(), Q.theta_variation())
     return Functional(first - second if p % 2 else first + second)
 
 

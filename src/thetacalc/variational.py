@@ -82,12 +82,14 @@ peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
 The Euler operators themselves run on total_derivative for every
 caller.
 
-A Functional is immutable, so it computes its standard degree and its
-variations (var_theta, var_u) on first use and keeps them: a bracket
-reads only the variations of its operands, and the Miura action and the
-Jacobi check bracket one operand many times.  The cache lives as long
-as its Functional; an operation on it returns a new one with empty
-caches.
+A Functional is immutable, so it computes its standard degree and each
+of its variations on first use and keeps them, one cache per kind
+(theta_variation, u_variation; variations() pairs the two): the Miura
+action brackets one operand many times.  A bracket reads only the
+variations it multiplies: var_u of a u-free operand is zero, so the
+other operand's var_theta is not computed (see schouten.schouten), and
+decompose_h2 reads var_theta alone.  The cache lives as long as its
+Functional; an operation on it returns a new one with empty caches.
 """
 
 from __future__ import annotations
@@ -257,15 +259,17 @@ class Functional:
     """An element of the quotient space, held as a chosen density.
 
     Immutable after construction, like its density, so the standard
-    degree and the variations of the density can be cached on first
+    degree and each variation of the density can be cached on first
     use: every operation returns a new Functional with empty caches.
     """
 
-    __slots__ = ("density", "_degree", "_variations")
+    __slots__ = ("density", "_degree", "_theta", "_u", "_variations")
 
     def __init__(self, density: DiffPoly):
         self.density = density
         self._degree = _UNSET
+        self._theta = None
+        self._u = None
         self._variations = None
 
     @classmethod
@@ -284,14 +288,23 @@ class Functional:
             self._degree = self.density.standard_degree()
         return self._degree
 
-    def variations(self):
-        """(var_theta(density), var_u(density)), computed once.
+    def theta_variation(self) -> DiffPoly:
+        """var_theta(density), computed once; safe because a Functional
+        is immutable."""
+        if self._theta is None:
+            self._theta = var_theta(self.density)
+        return self._theta
 
-        All that a bracket reads of an operand; the cache is safe
-        because a Functional is immutable.
-        """
+    def u_variation(self) -> DiffPoly:
+        """var_u(density), computed once."""
+        if self._u is None:
+            self._u = var_u(self.density)
+        return self._u
+
+    def variations(self):
+        """(var_theta(density), var_u(density)), the same tuple on every call."""
         if self._variations is None:
-            self._variations = (var_theta(self.density), var_u(self.density))
+            self._variations = (self.theta_variation(), self.u_variation())
         return self._variations
 
     def is_zero(self) -> bool:

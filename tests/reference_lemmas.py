@@ -14,13 +14,24 @@ reference_varder_solvable is the decision that verify_varder_lemma
 replaced by the theta Euler identity: var_theta of every basis monomial
 of theta_basis(3, d) is one column, and each target th^(d-i,0) th^(i,0)
 is solved over those columns.
+
+theta_basis lists the standard monomials of the constant-theta ring;
+the verifiers no longer enumerate them, the tests and these references
+do.
 """
 
 from thetacalc.algebra import DiffPoly
-from thetacalc.cohomology import _theta_key, theta_basis, theta_monomial
+from thetacalc.cohomology import _descending_tuples, _theta_key, theta_monomial
 from thetacalc.linsolve import Factorization
 from thetacalc.rationals import QQ
 from thetacalc.variational import var_theta
+
+
+def theta_basis(p, d):
+    """Standard monomials th^(i1,0)...th^(ip,0), i1 > ... > ip >= 0."""
+    out = [theta_monomial(ks) for ks in _descending_tuples(p, d, d)]
+    out.sort(key=lambda m: next(iter(m.terms)), reverse=True)
+    return out
 
 
 def reference_split_leaks(k):

@@ -9,12 +9,13 @@ import hashlib
 import random
 import time
 
+from reference_lemmas import theta_basis
+
 from thetacalc.algebra import Grade, enumerate_basis, mul, random_element
 from thetacalc.cohomology import (
     bockstein_split,
     delta,
     evolutionary_field,
-    theta_basis,
     theta_quotient_basis,
     verify_nontriv_lemma,
     verify_square_lemma,

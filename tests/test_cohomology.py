@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_solve
 from reference_euler import reference_ad_p1_column, reference_bockstein_split, reference_delta
-from reference_lemmas import reference_split_leaks, reference_varder_solvable
+from reference_lemmas import reference_split_leaks, reference_varder_solvable, theta_basis
 from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
@@ -20,7 +20,6 @@ from thetacalc.cohomology import (
     evolutionary_field,
     is_theta_poly,
     reduce_mod_dx,
-    theta_basis,
     theta_monomial,
     theta_quotient_basis,
     verify_bockstein_injective,
@@ -226,6 +225,52 @@ def test_decompose_mixture():
 def test_decompose_rejects_non_cocycle():
     with pytest.raises(NotACocycle):
         decompose_h2(Functional(half * u() * th(0, 0) * th(3, 0)), 3)
+
+
+def test_every_decomposition_part_is_a_cocycle():
+    # why decompose_h2 may test the cocycle condition only on failure: a
+    # passing round trip writes P_d as a sum of these three kinds of part
+    p1 = standard_leading_term()
+    for d in range(2, 7):
+        for w in range(3):
+            for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
+                image = schouten(p1, evolutionary_field(m.as_poly()))
+                assert schouten(p1, image).is_zero(), (d, w, m)
+    for d in range(2, 8):
+        assert schouten(p1, pst(d, 0)).is_zero()
+        for q in theta_quotient_basis(3, d):
+            assert schouten(p1, Functional(bockstein_split(q))).is_zero(), (d, q)
+
+
+def test_decompose_checks_the_cocycle_condition_only_on_failure(monkeypatch):
+    brackets = []
+
+    def recording(P, Q):
+        brackets.append(Q.super_degree())
+        return schouten(P, Q)
+
+    monkeypatch.setattr(cohomology, "schouten", recording)
+    X = evolutionary_field(u() * u(3, 1))  # degree 4, so [p1, X] has degree 5
+    P = pst(5, 0).scale(QQ(2)) + schouten(standard_leading_term(), X)
+    assert decompose_h2(P, 5).c == QQ(2)
+    assert 2 not in brackets  # only the round trip's [p1, X]
+    brackets.clear()
+    with pytest.raises(NotACocycle):
+        decompose_h2(Functional(half * u() * th(0, 0) * th(3, 0)), 3)
+    assert brackets.count(2) == 1
+
+
+def test_round_trip_rejects_a_wrong_decomposition():
+    from thetacalc.cohomology import H2Decomposition, _assert_roundtrip
+
+    P = pst(5, 0).scale(QQ(2))
+    _assert_roundtrip(P, decompose_h2(P, 5))
+    wrong = H2Decomposition(5, QQ(3), DiffPoly.zero(), evolutionary_field(DiffPoly.zero()))
+    with pytest.raises(InternalInconsistency, match="round-trip failed at degree 5"):
+        _assert_roundtrip(P, wrong)
+    # equal modulo divergences is equal: add dx of a bivector density
+    shifted = Functional(P.density + (half * u() * th(0, 0) * th(3, 0)).dx())
+    _assert_roundtrip(shifted, decompose_h2(P, 5))
 
 
 def test_decompose_unique_against_pivot_order():

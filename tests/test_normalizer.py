@@ -3,7 +3,13 @@ import random
 import pytest
 
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis
-from thetacalc.cohomology import decompose_h2, evolutionary_field, theta_monomial, bockstein_split
+from thetacalc.cohomology import (
+    bockstein_split,
+    decompose_h2,
+    evolutionary_field,
+    theta_monomial,
+    theta_quotient_basis,
+)
 from thetacalc.errors import (
     JacobiViolation,
     MissingComponent,
@@ -350,3 +356,105 @@ def test_normal_form_builds_only_class_slices(monkeypatch):
         cohomology.block_operator.cache_clear()
     assert res.invariant_values() == [QQ(5), QQ(-7), QQ(1, 3)]
     assert built == [(3, 0, 3), (5, 0, 5), (7, 0, 7)]
+
+
+# -- the checks on the failure path ------------------------------------------
+
+
+def _oracle_input(rng):
+    """A Miura conjugate at order 3-5; a third are perturbed by one random
+    bivector monomial at a random degree, a third get a split class at
+    degree 3 or 5."""
+    order = rng.randint(3, 5)
+    cs = [QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(order // 2)]
+    P = build_normal_form(cs, order)
+    for degree in (1, 2):
+        P = miura_apply(random_generator(rng, degree, max_weight=2), P, order)
+    kind = rng.choice(("conjugate", "perturbed", "split"))
+    coeff = QQ(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice([1, -1])
+    if kind == "perturbed":
+        d = rng.randint(2, order + 1)
+        basis = enumerate_basis(Grade(d, 2, rng.randint(0, 2)))
+        extra = rng.choice(basis).as_poly().scale(coeff)
+    elif kind == "split":
+        d = rng.choice([k for k in (3, 5) if k <= order + 1])
+        extra = bockstein_split(rng.choice(theta_quotient_basis(3, d))).scale(coeff)
+    else:
+        return P
+    return P + BracketSeries(order, {d: Functional(extra)})
+
+
+def _outcome(fn, P):
+    """Invariants and generator strings, or the error's type, text and degree."""
+    from thetacalc.errors import ThetaCalcError
+    from thetacalc.printer import format_poly
+
+    try:
+        res = fn(P)
+    except ThetaCalcError as exc:
+        degree = getattr(exc, "order", getattr(exc, "degree", None))
+        return type(exc).__name__, str(exc), degree
+    return "ok", res.invariants, [format_poly(g.density) for g in res.generators]
+
+
+def test_normalize_agrees_with_the_checks_first_reference():
+    # the parent's order: jacobi_check before the loop, the cocycle test
+    # before each decomposition
+    from reference_normalize import reference_normalize
+
+    rng = random.Random(2020)
+    kinds = {}
+    for _ in range(120):
+        P = _oracle_input(rng)
+        got = _outcome(normalize, P)
+        assert got == _outcome(reference_normalize, P)
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+    assert set(kinds) == {"ok", "JacobiViolation", "ObstructionNonzeroBockstein"}
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _count_checks(monkeypatch):
+    """Count jacobi_check runs and cocycle tests [p1, P_d] of normalize."""
+    from thetacalc import cohomology, normalizer
+
+    counts = {"jacobi": 0, "cocycle": 0}
+    bracket_of = cohomology.schouten
+
+    def jacobi(P, order=None):
+        counts["jacobi"] += 1
+        return jacobi_check(P, order)
+
+    def bracket(P, Q):
+        # the round trip brackets p1 with a vector field, the cocycle
+        # test with the bivector component
+        if Q.super_degree() == 2:
+            counts["cocycle"] += 1
+        return bracket_of(P, Q)
+
+    monkeypatch.setattr(normalizer, "jacobi_check", jacobi)
+    monkeypatch.setattr(cohomology, "schouten", bracket)
+    return counts
+
+
+def test_success_path_runs_no_jacobi_or_cocycle_check(monkeypatch):
+    counts = _count_checks(monkeypatch)
+    rng = random.Random(11)
+    cs = [QQ(2), QQ(-1, 3)]
+    P = build_normal_form(cs, 5)
+    for d in (1, 2, 3):
+        P = miura_apply(random_generator(rng, d, max_weight=2), P, 5)
+    assert normalize(P).invariant_values() == cs
+    assert counts == {"jacobi": 0, "cocycle": 0}
+
+
+def test_failure_path_runs_each_check_at_most_once(monkeypatch):
+    from pathlib import Path
+
+    from thetacalc.parser import parse
+
+    text = (Path(__file__).parent / "data" / "nonpoisson.pb").read_text(encoding="utf-8")
+    counts = _count_checks(monkeypatch)
+    with pytest.raises(JacobiViolation) as exc:
+        normalize(parse(text).to_series())
+    assert exc.value.order == 4
+    assert counts["jacobi"] == 1 and counts["cocycle"] <= 1

@@ -118,6 +118,47 @@ def test_graded_symmetry(P, Q):
     assert schouten(P, Q) == schouten(Q, P).scale((-1) ** (p * q))
 
 
+
+@settings(max_examples=80, deadline=None)
+@given(functional(), functional())
+def test_bracket_matches_the_both_products_reference(P, Q):
+    # the same terms, coefficients and coefficient types, u-free operands
+    # (weight 0) included
+    from reference_normalize import reference_schouten
+
+    def typed(F):
+        return {k: (c, type(c)) for k, c in F.density.terms.items()}
+
+    assert typed(schouten(P, Q)) == typed(reference_schouten(P, Q))
+
+
+def test_u_free_operand_skips_the_others_theta_variation(monkeypatch):
+    # var_u of a u-free operand is zero, so its product is skipped: the
+    # bracket computes var_theta of the u-free operand and var_u of the
+    # other, nothing else
+    from reference_normalize import reference_schouten
+
+    from thetacalc import variational
+
+    seen = []
+    for name in ("var_theta", "var_u"):
+        op = getattr(variational, name)
+        monkeypatch.setattr(
+            variational, name, lambda f, op=op, name=name: seen.append((name, f)) or op(f)
+        )
+    for dense in (u() * u(1, 0) * th(0, 0), u(0, 1) * th(0, 0) * th(2, 0)):
+        for free_first in (True, False):
+            free, X = standard_leading_term(), Functional(dense)
+            args = (free, X) if free_first else (X, free)
+            got = schouten(*args)
+            assert sorted((name, f is free.density) for name, f in seen) == [
+                ("var_theta", True),
+                ("var_u", False),
+            ]
+            assert got == reference_schouten(*args)
+            seen.clear()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     functional(dmax=4, terms=1),

@@ -331,7 +331,9 @@ def test_theta_euler_identity():
     # g != 0, a positive case of the varder lemma's criterion
     import random
 
-    from thetacalc.cohomology import _is_three_theta_derivative, theta_basis
+    from reference_lemmas import theta_basis
+
+    from thetacalc.cohomology import _is_three_theta_derivative
 
     rng = random.Random(18)
     draws = []
