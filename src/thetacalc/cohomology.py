@@ -35,19 +35,23 @@ mixes slices (every row operation stays among the rows holding one
 column), so slice by slice gives the pivots and solutions of the
 whole block.
 
-block_operator(d, w, a) builds and eliminates one slice once and
-memoizes it for the life of the process; the generator basis of a block
-is enumerated once, grouped by x-order, and each slice takes its group.
-decompose_h2 is the one loop that solves through it: it groups the
-odd-order coordinates of var_theta(P_d) by (weight, x-order), builds
-only the slices they reach, and replays each slice's recorded
-elimination on its group.  On two order-6 conjugates they reach 21 of
-the 78 generator slices (178 of 494 generator columns).  The normalizer
-and verify_distinctness both split their components with decompose_h2,
-and verify_bockstein_injective reads the pivots of the class slice of
-the weight-one block.  Memory is bounded by the slices and the blocks
-touched (about 0.45 MB for two order-6 conjugates, 0.12 MB of it the
-grouped generator keys, against 0.75 MB for their whole blocks).
+solve_slice(d, w, a, rows) builds the columns of one slice and solves
+the slice's rows over them in one elimination; only the generator basis
+of a block is kept, enumerated once, grouped by x-order and shared by
+the block's slices.  decompose_h2 is the one loop that solves through
+it: it groups the odd-order coordinates of var_theta(P_d) by (weight,
+x-order) and solves only the slices they reach.  On two order-6
+conjugates they reach 21 of the 78 generator slices (178 of 494
+generator columns).  The normalizer and verify_distinctness both split
+their components with decompose_h2, and verify_bockstein_injective
+ranks the split-class columns of the weight-one block.  A slice lives
+only while it is solved, so memory is bounded by the largest slice.  A
+process that normalizes many inputs eliminates a slice again for each
+input that reaches it; a process-wide cache of factorized slices was
+measured and dropped, because slices rarely repeat (6 of 30 lookups on
+two order-6 conjugates, all of them slices of at most 12 columns, and 0
+of 50 on the order-51 worked example) while the cache raised the peak
+memory of an order-12 conjugate from about 230 MB to 410 MB.
 
 A block is built and solved on its odd-order coordinates only.  Each
 column and right-hand side is var_theta of a super-degree-2 density; its
@@ -83,7 +87,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
 from .errors import InternalInconsistency, NotACocycle
-from .linsolve import Factorization
+from .linsolve import pivot_columns, solve
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, var_theta, var_u
@@ -334,70 +338,52 @@ class BlockSolution(NamedTuple):
     chi: DiffPoly  # split class part, in the quotient basis
 
 
-class BlockOperator:
-    """The coefficient matrix of slice a of the (d, w) block, factorized once.
+def _split_class_columns(d: int):
+    """The keys of theta_quotient_basis(3, d) and their split-class columns.
+
+    Unit monomials with int coefficients keep the columns integral.
+    """
+    keys = [next(iter(q.terms)) for q in theta_quotient_basis(3, d)]
+    return keys, [_odd_part(var_theta(bockstein_split(DiffPoly({k: 1})))) for k in keys]
+
+
+def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolution]:
+    """Split the odd-order coordinates rows of var_theta(P_d) over slice a
+    of the (d, w) block, or None.
 
     Rows are the odd-order coordinates of x-order a and y-order d-a (see
     the module docstring).  For a < d the columns are the ad_p1 images
     of the generators of Grade(d-1, 0, w+1) with x-order a; slice d
     holds the class columns only: the c column (w = 0, d odd) and the
-    split-class columns (w = 1).  The columns live only while the slice
-    is factorized.
+    split-class columns (w = 1).  The columns are built, eliminated with
+    rows as right-hand side, and dropped.  None also when a row lies
+    outside the slice.  Raises ValueError when rows is not a theta
+    derivative of a bivector (super degree one), say the bivector
+    density itself.
     """
-
-    __slots__ = ("_x_keys", "_c_index", "_chi_keys", "_system")
-
-    def __init__(self, d: int, w: int, a: int):
-        self._x_keys = _generator_keys(d, w).get(a, ()) if a < d else ()
-        quot = theta_quotient_basis(3, d) if w == 1 and a == d else []
-        self._chi_keys = tuple(next(iter(q.terms)) for q in quot)
-        # unit monomials with int coefficients keep the generator and
-        # split-class columns integral; the generators' mixed derivatives
-        # share one derivative table, dropped with the columns
-        table = _DerivativeTable()
-        columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in self._x_keys]
-        self._c_index = None
-        if w == 0 and a == d and d % 2 == 1:
-            self._c_index = len(columns)
-            columns.append(_odd_part(var_theta(pst(d, 0).density)))
-        columns += [
-            _odd_part(var_theta(bockstein_split(DiffPoly({k: 1}))))
-            for k in self._chi_keys
-        ]
-        self._system = Factorization(columns)
-
-    @property
-    def splits_independent(self) -> bool:
-        """Whether the split-class columns are independent modulo the others.
-
-        In slice d, the only one with split-class columns, there are no
-        others.
-        """
-        return self._system.independent_from(self._system.ncols - len(self._chi_keys))
-
-    def solve(self, rows: DiffPoly) -> Optional[BlockSolution]:
-        """Split the slice's odd-order coordinates of var_theta(P_d), or None.
-
-        None also when a row lies outside the slice.  Raises ValueError
-        when rows is not a theta derivative of a bivector (super degree
-        one), say the bivector density itself.
-        """
-        if rows.super_degree() != 1:
-            raise ValueError("BlockOperator.solve expects var_theta coordinates")
-        sol = self._system.solve(rows)
-        if sol is None:
-            return None
-        x = DiffPoly({k: v for k, v in zip(self._x_keys, sol) if v != 0})
-        c = None if self._c_index is None else sol[self._c_index]
-        chi_coeffs = sol[len(sol) - len(self._chi_keys) :]
-        chi = DiffPoly({k: v for k, v in zip(self._chi_keys, chi_coeffs) if v != 0})
-        return BlockSolution(x, c, chi)
-
-
-@lru_cache(maxsize=None)
-def block_operator(d: int, w: int, a: int) -> BlockOperator:
-    """Slice a of the (d, w) block operator, built once per process."""
-    return BlockOperator(d, w, a)
+    if rows.super_degree() != 1:
+        raise ValueError("solve_slice expects var_theta coordinates")
+    x_keys = _generator_keys(d, w).get(a, ()) if a < d else ()
+    # unit monomials with int coefficients keep the generator columns
+    # integral; their mixed derivatives share one derivative table,
+    # dropped with the columns
+    table = _DerivativeTable()
+    columns = [_ad_p1_column(DiffPoly({k: 1}), table) for k in x_keys]
+    has_c = w == 0 and a == d and d % 2 == 1
+    if has_c:
+        columns.append(_odd_part(var_theta(pst(d, 0).density)))
+    chi_keys = []
+    if w == 1 and a == d:
+        chi_keys, chi_columns = _split_class_columns(d)
+        columns += chi_columns
+    sol = solve(columns, rows)
+    if sol is None:
+        return None
+    x = DiffPoly({k: v for k, v in zip(x_keys, sol) if v != 0})
+    c = sol[len(x_keys)] if has_c else None
+    chi_coeffs = sol[len(sol) - len(chi_keys) :]
+    chi = DiffPoly({k: v for k, v in zip(chi_keys, chi_coeffs) if v != 0})
+    return BlockSolution(x, c, chi)
 
 
 @dataclass
@@ -425,7 +411,8 @@ def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
     x-order, and each slice is solved on its own (see the module
     docstring): the constant and the split classes in slice d, the
     generators of weight w+1 and x-order a in slice a < d of weight w.
-    Only the slices that P_d reaches are built.  Raises NotACocycle when
+    Only the slices that P_d reaches are built, each solved by one
+    elimination with its rows as right-hand side.  Raises NotACocycle when
     the input is not closed and InternalInconsistency when a slice is
     infeasible or the round trip fails (which the cohomology computation
     excludes for genuine cocycles).
@@ -448,7 +435,7 @@ def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
     x_terms = {}
     try:
         for (w, a), rows in _slices(P_d.theta_variation()).items():
-            part = block_operator(d, w, a).solve(rows)
+            part = solve_slice(d, w, a, rows)
             if part is None:
                 raise InternalInconsistency(
                     f"no decomposition at degree {d}, weight {w}, x-order {a}"
@@ -557,10 +544,9 @@ def verify_square_lemma(k: int) -> bool:
     Infeasibility of every chain system rules out squares with two or
     more nonzero coefficients; a feasible one means the check cannot
     decide.  Both undecided cases raise InternalInconsistency.  The chain
-    and its block depend on (k, t) alone, not on s, so the chain system
-    of each leading index t is factorized once and every pair (s, t) is
-    solved by replaying that elimination; the first pair tried is
-    (support[1], support[0]).
+    and its block depend on (k, t) alone, not on s, so the chain of each
+    leading index t is built once and every pair (s, t) is solved over
+    it; the first pair tried is (support[1], support[0]).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -585,12 +571,11 @@ def verify_square_lemma(k: int) -> bool:
                 continue
             mono = theta_monomial(tuple(sorted(idx, reverse=True)))
             chain.append(_restrict(mono.dx(), block_keys))
-        system = Factorization(chain)
         for s in support[a + 1 :]:
             target = mul(pair[s], pair[t])
             if target.is_zero():
                 continue
-            if system.solve(_restrict(target, block_keys)) is not None:
+            if solve(chain, _restrict(target, block_keys)) is not None:
                 raise InternalInconsistency(
                     f"chain system feasible at k={k}, pair ({s},{t}); "
                     "the check cannot decide"
@@ -631,14 +616,15 @@ def verify_varder_lemma(d: int) -> bool:
 def verify_bockstein_injective(d: int) -> bool:
     """The split classes stay independent modulo adjoint coboundaries.
 
-    Reads the pivots of slice d of the (d, 1) block.  The split-class
-    columns lie in x-order d and y-order 0, every coboundary column in
-    y-order at least one (see the module docstring), so the two share no
-    row: a combination of split columns equal to a coboundary is zero on
-    both sides.  Independence modulo the coboundaries is therefore
-    independence of the split columns alone.
+    Ranks the split-class columns, the columns of slice d of the (d, 1)
+    block.  They lie in x-order d and y-order 0, every coboundary column
+    in y-order at least one (see the module docstring), so the two share
+    no row: a combination of split columns equal to a coboundary is zero
+    on both sides.  Independence modulo the coboundaries is therefore
+    independence of the split columns alone, that is full column rank.
     """
-    return block_operator(d, 1, d).splits_independent
+    _, columns = _split_class_columns(d)
+    return len(pivot_columns(columns)) == len(columns)
 
 
 def verify_nontriv_lemma(d: int) -> bool:
@@ -686,7 +672,7 @@ def verify_nontriv_lemma(d: int) -> bool:
             if Bi is Bj and col.is_zero():
                 return False
             cols.append(col)
-    if not Factorization(cols).independent_from(0):
+    if len(pivot_columns(cols)) < len(cols):
         raise InternalInconsistency(
             f"self-bracket columns are dependent at d={d}; the check cannot decide"
         )

@@ -3,13 +3,15 @@
 Systems are assembled from polynomial columns, with rows keyed by
 monomial keys and columns by unknown indices.  Each column is scaled by
 the lcm of its coefficient denominators, so the coefficient matrix is
-integral; the scale is undone in the solution.
+integral, and the right-hand side by the lcm of its own; both scales are
+undone in the solution.
 
 Elimination is fraction-free over Python ints (Bareiss 1968; von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The pivot row is
 left undivided.  Every other row r holding f in the pivot column becomes
 (a*r - b*pr) / content, where g = gcd(pv, f), a = pv/g, b = f/g and
-content is the gcd of the new row's entries.
+content is the gcd of the new row's entries and its right-hand side,
+which takes the same update.
 
 The pivot rule (leftmost column, then the pivot row with the fewest
 nonzeros, index tie-break) depends only on row supports, and scaling a
@@ -18,52 +20,55 @@ free unknowns set to zero, are those of Gauss-Jordan elimination over
 QQ, and repeated runs produce identical solutions.  Arithmetic is
 exact; there is no tolerance anywhere.
 
-Factorization is the one solver: it eliminates a column set once and
-records the integer row operations.  A right-hand side is reduced in
-one place, the replay of those operations in Factorization.solve, and
-only the right-hand side is rational; a pivot unknown is the reduced
-rhs of its row over the final pivot value, times its column scale.
+Each call eliminates once and keeps nothing: solve reduces its
+right-hand side with the rows, and pivot_columns answers rank questions
+on the zero right-hand side.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from math import gcd, lcm
 
 from .rationals import QQ, ZERO
 
 
-class SparseSystem:
-    """The integer coefficient rows of a set of polynomial columns.
+def _integral(poly):
+    """The lcm s of poly's coefficient denominators, and its nonzero
+    coefficients times s as ints."""
+    terms = poly.terms
+    s = lcm(*(int(c.denominator) for c in terms.values()))
+    return s, {k: int(c.numerator) * (s // int(c.denominator)) for k, c in terms.items() if c}
 
-    rhs is the all-zero int list of a system without a right-hand side.
-    It stays in _eliminate's signature, untouched, because the benchmark
-    tracer (perfbench/tracer.py) reads it there.
+
+class SparseSystem:
+    """The integer rows of a set of polynomial columns and a right-hand side.
+
+    rhs is the integer right-hand side, one entry per row, scaled by
+    rhs_scale; all zeros without one.  A key of the right-hand side that
+    no column reaches is an empty row with a nonzero rhs entry.
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns, rhs=None):
         rows = defaultdict(dict)
         self.scales = []
         for j, col in enumerate(columns):
-            terms = col.terms
-            s = lcm(*(int(c.denominator) for c in terms.values()))
+            s, entries = _integral(col)
             self.scales.append(s)
-            for key, c in terms.items():
-                if c:
-                    rows[key][j] = int(c.numerator) * (s // int(c.denominator))
+            for key, v in entries.items():
+                rows[key][j] = v
+        self.rhs_scale, b = (1, {}) if rhs is None else _integral(rhs)
+        for key in b:
+            rows.setdefault(key, {})
         self.ncols = len(self.scales)
-        self.keys = sorted(rows)
-        self.rows = [rows[k] for k in self.keys]
-        self.rhs = [0] * len(self.keys)
+        keys = sorted(rows)
+        self.rows = [rows[k] for k in keys]
+        self.rhs = [b.get(k, 0) for k in keys]
 
-    def _eliminate(self, ncols: int, rows, rhs, *, on_pivot):
-        """Fraction-free Gauss-Jordan elimination of rows in place.
+    def _eliminate(self, ncols: int, rows, rhs):
+        """Fraction-free Gauss-Jordan elimination of rows and rhs in place.
 
-        on_pivot is called once per pivot column with the pivot row, the
-        other rows reduced and their (a, b, content) triples: the row
-        operations, in order, that Factorization replays on a
-        right-hand side.  rhs is not read.
+        Returns the pivot rows and the map from pivot column to pivot row.
         """
         colindex = defaultdict(set)
         for i, r in enumerate(rows):
@@ -89,9 +94,8 @@ class SparseSystem:
             pivot_of[col] = piv
             pr = rows[piv]
             pv = pr[col]
-            targets = [i for i in holders if i != piv and rows[i].get(col)]
-            ops = []
-            for i in targets:
+            rp = rhs[piv]
+            for i in [i for i in holders if i != piv and rows[i].get(col)]:
                 r = rows[i]
                 f = r[col]
                 g = gcd(pv, f)
@@ -105,100 +109,41 @@ class SparseSystem:
                         colindex[k].add(i)
                     else:
                         r.pop(k, None)
-                content = gcd(*r.values()) or 1
+                ri = a * rhs[i] - b * rp
+                content = gcd(ri, *r.values()) or 1
                 if content != 1:
                     r = {k: v // content for k, v in r.items()}
+                    ri //= content
                 rows[i] = r
-                ops.append((a, b, content))
-            on_pivot(piv, targets, ops)
+                rhs[i] = ri
             colindex[col] = {piv}
         return used, pivot_of
 
 
-class Factorization:
-    """Columns eliminated once; solve replays the elimination on a rhs.
+def solve(columns, rhs):
+    """Coefficients expressing the polynomial rhs over the columns.
 
-    The record holds, per pivot column, the pivot row and the range of
-    its updates; an update is a target row index (all packed in one int
-    array) and its integer (a, b, content) triple (interned, in one
-    tuple).  The replay in solve is the only place a right-hand side is
-    reduced, tested for feasibility and back-substituted.
+    Free unknowns are set to zero; None when rhs is outside the span.
     """
+    system = SparseSystem(columns, rhs)
+    rows, b = system.rows, system.rhs
+    used, pivot_of = system._eliminate(system.ncols, rows, b)
+    if any(b[i] for i in range(len(rows)) if i not in used):
+        return None
+    sol = [ZERO] * system.ncols
+    for col, piv in pivot_of.items():
+        if b[piv]:
+            sol[col] = QQ(b[piv] * system.scales[col], rows[piv][col] * system.rhs_scale)
+    return sol
 
-    __slots__ = ("ncols", "pivot_columns", "_row_of", "_steps", "_targets",
-                 "_ops", "_free_rows", "_pivots")
 
-    def __init__(self, columns):
-        system = SparseSystem(columns)
-        interned = {}
-        steps = []
-        targets = array("i")
-        ops = []
+def pivot_columns(columns) -> list:
+    """The pivot columns, ascending.
 
-        def on_pivot(piv, rows_hit, triples):
-            lo = len(targets)
-            targets.extend(rows_hit)
-            ops.extend(interned.setdefault(t, t) for t in triples)
-            steps.append((piv, lo, len(targets)))
-
-        rows = system.rows
-        self.ncols = system.ncols
-        used, pivot_of = system._eliminate(self.ncols, rows, system.rhs, on_pivot=on_pivot)
-        self.pivot_columns = frozenset(pivot_of)
-        self._row_of = {key: i for i, key in enumerate(system.keys)}
-        self._steps = tuple(steps)
-        self._targets = memoryview(targets).toreadonly()
-        self._ops = tuple(ops)
-        free = array("i", (i for i in range(len(rows)) if i not in used))
-        self._free_rows = memoryview(free).toreadonly()
-        # a pivot unknown is its row's rhs times scale / final pivot value
-        self._pivots = tuple(
-            (col, piv, QQ(system.scales[col], rows[piv][col]))
-            for col, piv in sorted(pivot_of.items())
-        )
-
-    def independent_from(self, n: int) -> bool:
-        """Whether columns n, n+1, ... are independent modulo columns 0..n-1.
-
-        Pivot columns are taken leftmost first, so column j is a pivot
-        exactly when it is independent of columns 0..j-1; every column
-        from n on is then a pivot exactly when those columns are
-        independent modulo the span of the first n.
-        """
-        return all(j in self.pivot_columns for j in range(n, self.ncols))
-
-    def solve(self, rhs):
-        """Coefficients expressing the polynomial rhs over the columns.
-
-        Free unknowns are set to zero; None when rhs is outside the span.
-        """
-        vec = [ZERO] * len(self._row_of)
-        row_of = self._row_of
-        for key, c in rhs.terms.items():
-            i = row_of.get(key)
-            if i is None:
-                return None
-            vec[i] = QQ(c)
-        targets, ops = self._targets, self._ops
-        for piv, lo, hi in self._steps:
-            r = vec[piv]
-            if r:
-                for i, (a, b, g) in zip(targets[lo:hi], ops[lo:hi]):
-                    v = a * vec[i] - b * r
-                    vec[i] = v / g if g != 1 else v
-                continue
-            # with r zero a row operation only rescales its target
-            for i, (a, _, g) in zip(targets[lo:hi], ops[lo:hi]):
-                if a != 1 or g != 1:
-                    v = vec[i]
-                    if v:
-                        v = a * v
-                        vec[i] = v / g if g != 1 else v
-        if any(vec[i] for i in self._free_rows):
-            return None
-        sol = [ZERO] * self.ncols
-        for col, piv, m in self._pivots:
-            v = vec[piv]
-            if v:
-                sol[col] = v * m
-        return sol
+    Pivots are taken leftmost first, so column j is a pivot exactly when
+    it is independent of columns 0..j-1, and the columns have full rank
+    exactly when every one is a pivot.
+    """
+    system = SparseSystem(columns)
+    _, pivot_of = system._eliminate(system.ncols, system.rows, system.rhs)
+    return sorted(pivot_of)

@@ -24,8 +24,12 @@ from .variational import Functional
 
 
 def standard_leading_term() -> Functional:
-    """The standard leading bivector, half of the integral of th * th^(0,1)."""
-    return pst(0, 1)
+    """The standard leading bivector, half of the integral of th * th^(0,1).
+
+    Every call returns the same Functional, which is immutable, so its
+    variations are computed once per process.
+    """
+    return _P1
 
 
 def pst(s: int, t: int) -> Functional:
@@ -33,6 +37,9 @@ def pst(s: int, t: int) -> Functional:
     return Functional(
         DiffPoly.rational(1, 2) * DiffPoly.theta(0, 0) * DiffPoly.theta(s, t)
     )
+
+
+_P1 = pst(0, 1)
 
 
 def _super_degree(F: Functional) -> int:

@@ -84,7 +84,7 @@ caller.
 
 A Functional is immutable, so it computes its standard degree and each
 of its variations on first use and keeps them, one cache per kind
-(theta_variation, u_variation; variations() pairs the two): the Miura
+(theta_variation, u_variation): the Miura
 action brackets one operand many times.  A bracket reads only the
 variations it multiplies: var_u of a u-free operand is zero, so the
 other operand's var_theta is not computed (see schouten.schouten), and
@@ -263,14 +263,13 @@ class Functional:
     use: every operation returns a new Functional with empty caches.
     """
 
-    __slots__ = ("density", "_degree", "_theta", "_u", "_variations")
+    __slots__ = ("density", "_degree", "_theta", "_u")
 
     def __init__(self, density: DiffPoly):
         self.density = density
         self._degree = _UNSET
         self._theta = None
         self._u = None
-        self._variations = None
 
     @classmethod
     def zero(cls) -> "Functional":
@@ -300,12 +299,6 @@ class Functional:
         if self._u is None:
             self._u = var_u(self.density)
         return self._u
-
-    def variations(self):
-        """(var_theta(density), var_u(density)), the same tuple on every call."""
-        if self._variations is None:
-            self._variations = (self.theta_variation(), self.u_variation())
-        return self._variations
 
     def is_zero(self) -> bool:
         return is_total_divergence(self.density)

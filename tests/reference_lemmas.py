@@ -5,8 +5,8 @@ reference_split_leaks is the leak check that
 thetacalc.cohomology.verify_square_lemma replaced by its leading-monomial
 certificate: the dx images of the four-theta basis monomials of degree
 2k-1 are split by the outer index sum of their preimage, the monomials
-of the lower images (sum <= k-1) are collected, and one factorization of
-the upper images followed by those unit monomials tells whether the
+of the lower images (sum <= k-1) are collected, and the pivot columns
+of the upper images followed by those unit monomials tell whether the
 units stay independent modulo the upper images.  The split leaks when
 they do not.
 
@@ -22,7 +22,7 @@ do.
 
 from thetacalc.algebra import DiffPoly
 from thetacalc.cohomology import _descending_tuples, _theta_key, theta_monomial
-from thetacalc.linsolve import Factorization
+from thetacalc.linsolve import pivot_columns, solve
 from thetacalc.rationals import QQ
 from thetacalc.variational import var_theta
 
@@ -49,7 +49,8 @@ def reference_split_leaks(k):
     if not (upper_images and seen):
         return False
     units = [DiffPoly({key: QQ(1)}) for key in sorted(seen)]
-    return not Factorization(upper_images + units).independent_from(len(upper_images))
+    cols = upper_images + units
+    return not set(range(len(upper_images), len(cols))) <= set(pivot_columns(cols))
 
 
 def reference_varder_solvable(d):
@@ -59,5 +60,4 @@ def reference_varder_solvable(d):
     targets = [theta_monomial((d - i, i)) for i in range(0, (d - 1) // 2 + 1)]
     if not cols:
         return [False] * len(targets)
-    system = Factorization(cols)
-    return [system.solve(g) is not None for g in targets]
+    return [solve(cols, g) is not None for g in targets]

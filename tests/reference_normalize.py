@@ -12,7 +12,7 @@ both operands and both products, whatever the operands.
 """
 
 from thetacalc.algebra import DiffPoly, mul
-from thetacalc.cohomology import H2Decomposition, _slices, block_operator, evolutionary_field
+from thetacalc.cohomology import H2Decomposition, _slices, evolutionary_field, solve_slice
 from thetacalc.errors import (
     InternalInconsistency,
     JacobiViolation,
@@ -51,7 +51,7 @@ def reference_decompose_h2(P_d, d):
     chi = DiffPoly.zero()
     x_terms = {}
     for (w, a), rows in _slices(var_theta(P_d.density)).items():
-        part = block_operator(d, w, a).solve(rows)
+        part = solve_slice(d, w, a, rows)
         if part is None:
             raise InternalInconsistency(
                 f"no decomposition at degree {d}, weight {w}, x-order {a}"

@@ -32,7 +32,7 @@ def test_traced_functions_resolve(tracer_module):
 
 def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
     from thetacalc.algebra import DiffPoly
-    from thetacalc.cohomology import block_operator, evolutionary_field
+    from thetacalc.cohomology import evolutionary_field
     from thetacalc.normalizer import build_normal_form, normalize
     from thetacalc.rationals import QQ
     from thetacalc.schouten import miura_apply
@@ -40,14 +40,12 @@ def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
     # a Miura conjugate: a normal form itself builds no generator column
     X = evolutionary_field(DiffPoly.u() * DiffPoly.u(1, 0))
     P = miura_apply(X, build_normal_form([QQ(2), QQ(-1, 3)], 4), 4)
-    block_operator.cache_clear()  # a warm cache would skip every elimination
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         result = normalize(P)
     finally:
         tracer.uninstall()
-        block_operator.cache_clear()
     assert result.invariant_values() == [2, QQ(-1, 3)]
     summary = tracer.summary()
     assert summary["linsolve.eliminate.calls"] > 0
@@ -59,13 +57,11 @@ def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
 
 def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
     from thetacalc.cohomology import (
-        block_operator,
         verify_bockstein_injective,
         verify_square_lemma,
         verify_varder_lemma,
     )
 
-    block_operator.cache_clear()  # the Bockstein check must build its block
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -74,11 +70,12 @@ def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
                     verify_varder_lemma(5), verify_bockstein_injective(5)]
     finally:
         tracer.uninstall()
-        block_operator.cache_clear()
     assert verdicts == [True] * 4
     summary = tracer.summary()
     assert summary["linsolve.eliminate.calls"] > 0
     assert summary["linsolve.rank"] > 0
+    # the chain systems of the square lemma are infeasible
+    assert summary["linsolve.infeasible"] > 0
 
 
 def test_cli_launcher_traces_one_parse_and_one_normalize(tmp_path):

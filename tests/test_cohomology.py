@@ -11,15 +11,14 @@ from reference_nontriv import reference_nontriv
 from thetacalc import cohomology
 from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
-    BlockOperator,
     _ad_p1_column,
-    block_operator,
     bockstein_split,
     decompose_h2,
     delta,
     evolutionary_field,
     is_theta_poly,
     reduce_mod_dx,
+    solve_slice,
     theta_monomial,
     theta_quotient_basis,
     verify_bockstein_injective,
@@ -28,7 +27,7 @@ from thetacalc.cohomology import (
     verify_varder_lemma,
 )
 from thetacalc.errors import InternalInconsistency, NotACocycle
-from thetacalc.linsolve import Factorization
+from thetacalc.linsolve import pivot_columns, solve
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional, _DerivativeTable, var_theta, var_u
@@ -117,7 +116,7 @@ def test_quotient_basis_sizes_match_rank_nullity():
     for p in (2, 3, 4):
         for d in range(1, 13):
             dim = len(theta_basis(p, d))
-            rank = len(Factorization([b.dx() for b in theta_basis(p, d - 1)]).pivot_columns)
+            rank = len(pivot_columns([b.dx() for b in theta_basis(p, d - 1)]))
             assert len(theta_quotient_basis(p, d)) == dim - rank, (p, d)
 
 
@@ -166,7 +165,7 @@ def test_reduce_exhaustive_difference_is_exact():
             diff = t - reduce_mod_dx(t)
             if diff.is_zero():
                 continue
-            assert Factorization(dx_img).solve(diff) is not None, (d, t)
+            assert solve(dx_img, diff) is not None, (d, t)
 
 
 def test_reduce_rejects_mixed_input():
@@ -293,7 +292,7 @@ def test_decompose_unique_against_pivot_order():
         if w == 0:
             cols.append(var_theta(pst(d, 0).density))
             tags.append(("c", None))
-        sol = Factorization(cols).solve(var_theta(block))
+        sol = solve(cols, var_theta(block))
         assert sol is not None
         for coeff, (kind, j) in zip(sol, tags):
             if kind == "c":
@@ -344,7 +343,7 @@ def _solve_by_slices(d, w, rhs):
     x, c, chi = DiffPoly.zero(), None, DiffPoly.zero()
     for (wr, a), rows in cohomology._slices(var_theta(rhs)).items():
         assert wr == w
-        part = block_operator(d, w, a).solve(rows)
+        part = solve_slice(d, w, a, rows)
         if part is None:
             return None
         x, chi = x + part.x, chi + part.chi
@@ -365,7 +364,7 @@ def test_block_operator_matches_direct_solve():
         for w in range(4):
             basis, has_c, quot, cols = _reference_block(d, w)
             # the slices partition the generators
-            keys = [k for a in range(d + 1) for k in block_operator(d, w, a)._x_keys]
+            keys = [k for a in range(d) for k in cohomology._generator_keys(d, w).get(a, ())]
             assert sorted(keys) == sorted(next(iter(m.terms)) for m in basis)
             # the densities whose var_theta are the columns
             densities = [delta(mul(m, th(0, 0))) for m in basis]
@@ -387,7 +386,7 @@ def test_block_operator_matches_direct_solve():
                 assert _solve_by_slices(d, w, unit + rhs) is None, (d, w)
     for a in (7, 17):
         # no slice holds the row, whether or not the slice has columns
-        assert block_operator(7, 0, a).solve(var_theta(foreign)) is None
+        assert solve_slice(7, 0, a, var_theta(foreign)) is None
 
 
 def test_block_slices_follow_the_x_order_grading():
@@ -411,16 +410,16 @@ def test_bockstein_check_agrees_with_the_whole_block():
     # the class slice decides what the whole (d, 1) block decides
     for d in range(1, 13):
         basis, _, _, cols = _reference_block(d, 1)
-        assert verify_bockstein_injective(d) == Factorization(cols).independent_from(len(basis)), d
+        splits_independent = set(range(len(basis), len(cols))) <= set(pivot_columns(cols))
+        assert verify_bockstein_injective(d) == splits_independent, d
 
 
 def test_block_solve_rejects_a_bivector_density():
     # solve takes the var_theta coordinates of a slice, not the density
     density = bockstein_split(theta_monomial((2, 1, 0)))
-    op = block_operator(3, 1, 3)
-    assert op.solve(_odd_order(var_theta(density))) is not None
+    assert solve_slice(3, 1, 3, _odd_order(var_theta(density))) is not None
     with pytest.raises(ValueError):
-        op.solve(density)
+        solve_slice(3, 1, 3, density)
 
 
 def _odd_order(poly):
@@ -434,7 +433,7 @@ def _typed(poly):
 
 def test_ad_p1_column_is_the_odd_part_of_the_horner_column():
     # every generator monomial of the blocks d <= 8, w <= 4, as an int unit
-    # monomial through one table per block (as BlockOperator builds them)
+    # monomial through one table per block (as solve_slice builds them)
     # and as a QQ monomial through a fresh table
     count = 0
     for d in range(1, 9):
@@ -612,7 +611,7 @@ def test_block_columns_derive_each_monomial_once(monkeypatch, w):
     monkeypatch.setattr(cohomology, "_ad_p1_column", generator_column)
     for a in range(7):
         calls.clear()
-        BlockOperator(7, w, a)
+        solve_slice(7, w, a, th(0, 0))
         assert calls, a
         assert len(calls) == len(set(calls)), a
         assert all(len(terms) == 1 and terms[0][1] == 1 for terms, _ in calls)
@@ -659,16 +658,11 @@ def test_no_square_is_dx_exact_up_to_k_14():
     assert checked == 260
 
 
-class _AlwaysFeasible(Factorization):
-    def solve(self, rhs):
-        return [QQ(0)] * self.ncols
-
-
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_square_lemma_cannot_decide_a_feasible_chain(monkeypatch, k):
     # every k runs the chain systems, also those where the products
     # alone are independent modulo the dx images
-    monkeypatch.setattr(cohomology, "Factorization", _AlwaysFeasible)
+    monkeypatch.setattr(cohomology, "solve", lambda columns, rhs: [QQ(0)] * len(columns))
     with pytest.raises(InternalInconsistency, match="chain system feasible"):
         verify_square_lemma(k)
 
@@ -716,25 +710,6 @@ def test_outer_split_certificate_sees_a_repeated_lead(monkeypatch):
     assert not cohomology._outer_split_is_triangular(6)
 
 
-def test_square_lemma_factorizes_one_chain_per_leading_index(monkeypatch):
-    # at k = 12 the support is 7..12: one chain factorization for each
-    # leading index t = 7..11, not one per pair (s, t); the outer-sum
-    # split is decided without elimination
-    built = []
-
-    class _Counting(Factorization):
-        def __init__(self, columns):
-            built.append(columns)
-            super().__init__(columns)
-
-    monkeypatch.setattr(cohomology, "Factorization", _Counting)
-    assert verify_square_lemma(12)
-    assert len(built) == 5
-    # every column of the chain of t lives on monomials holding th^(t,0)
-    for t, chain in zip(range(7, 12), built):
-        assert all(t in cohomology._theta_key(key) for col in chain for key in col.terms), t
-
-
 def test_varder_lemma_small_range():
     for d in range(1, 9):
         assert verify_varder_lemma(d)
@@ -760,9 +735,7 @@ def test_splitting_injective_small_range():
         quot = theta_quotient_basis(3, d)
         gen = [reference_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
         b = [var_theta(bockstein_split(q)) for q in quot]
-        want = len(Factorization(gen + b).pivot_columns) == (
-            len(Factorization(gen).pivot_columns) + len(quot)
-        )
+        want = len(pivot_columns(gen + b)) == len(pivot_columns(gen)) + len(quot)
         assert verify_bockstein_injective(d) == want
         assert want, d
 
@@ -791,7 +764,7 @@ def test_nontriv_var_u_and_var_theta_pair_columns_agree():
     assert len(degrees) == 19
     for d in degrees:
         by_u, by_theta = _pair_columns(d, var_u), _pair_columns(d, var_theta)
-        assert Factorization(by_u).pivot_columns == Factorization(by_theta).pivot_columns, d
+        assert pivot_columns(by_u) == pivot_columns(by_theta), d
         assert [c.is_zero() for c in by_u] == [c.is_zero() for c in by_theta], d
 
 

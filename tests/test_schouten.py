@@ -41,6 +41,15 @@ def functional(draw, dmax=5, pmax=3, wmax=3, terms=2, dmin=0, pmin=0, wmin=0):
     return Functional(out)
 
 
+def test_standard_leading_term_is_one_functional():
+    # one immutable p1 per process: its variations are computed once
+    p1 = standard_leading_term()
+    assert standard_leading_term() is p1
+    assert p1 == pst(0, 1)
+    theta = p1.theta_variation()
+    assert standard_leading_term().theta_variation() is theta
+
+
 # -- sign conventions are pinned by the derivation identity ---------------
 
 
@@ -148,7 +157,8 @@ def test_u_free_operand_skips_the_others_theta_variation(monkeypatch):
         )
     for dense in (u() * u(1, 0) * th(0, 0), u(0, 1) * th(0, 0) * th(2, 0)):
         for free_first in (True, False):
-            free, X = standard_leading_term(), Functional(dense)
+            # a fresh p1: standard_leading_term() keeps its variations
+            free, X = pst(0, 1), Functional(dense)
             args = (free, X) if free_first else (X, free)
             got = schouten(*args)
             assert sorted((name, f is free.density) for name, f in seen) == [
