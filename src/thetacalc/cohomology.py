@@ -43,15 +43,15 @@ it: it groups the odd-order coordinates of var_theta(P_d) by (weight,
 x-order) and solves only the slices they reach.  On two order-6
 conjugates they reach 21 of the 78 generator slices (178 of 494
 generator columns).  The normalizer and verify_distinctness both split
-their components with decompose_h2, and verify_bockstein_injective
-ranks the split-class columns of the weight-one block.  A slice lives
-only while it is solved, so memory is bounded by the largest slice.  A
-process that normalizes many inputs eliminates a slice again for each
-input that reaches it; a process-wide cache of factorized slices was
-measured and dropped, because slices rarely repeat (6 of 30 lookups on
-two order-6 conjugates, all of them slices of at most 12 columns, and 0
-of 50 on the order-51 worked example) while the cache raised the peak
-memory of an order-12 conjugate from about 230 MB to 410 MB.
+their components with decompose_h2; no lemma verifier solves.  A slice
+lives only while it is solved, so memory is bounded by the largest
+slice.  A process that normalizes many inputs eliminates a slice again
+for each input that reaches it; a process-wide cache of factorized
+slices was measured and dropped, because slices rarely repeat (6 of 30
+lookups on two order-6 conjugates, all of them slices of at most 12
+columns, and 0 of 50 on the order-51 worked example) while the cache
+raised the peak memory of an order-12 conjugate from about 230 MB to
+410 MB.
 
 A block is built and solved on its odd-order coordinates only.  Each
 column and right-hand side is var_theta of a super-degree-2 density; its
@@ -87,7 +87,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
 from .errors import InternalInconsistency, NotACocycle
-from .linsolve import pivot_columns, solve
+from .linsolve import solve
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, var_theta, var_u
@@ -471,11 +471,7 @@ def _assert_roundtrip(P_d: Functional, res: H2Decomposition) -> None:
         )
 
 
-# -- brute-force verifiers for the structural lemmas ---------------------
-
-
-def _restrict(poly: DiffPoly, keys) -> DiffPoly:
-    return DiffPoly({k: c for k, c in poly.terms.items() if k in keys})
+# -- certificates for the structural lemmas ------------------------------
 
 
 def _dx_tuples(ks) -> list:
@@ -514,6 +510,22 @@ def _outer_split_is_triangular(k: int) -> bool:
     return len(leads) == upper and leads.isdisjoint(seen)
 
 
+def _chains_are_infeasible(k: int) -> bool:
+    """The dual certificate of verify_square_lemma's chain systems: per
+    leading index t, phi_t(e_i) = (-1)^i on the block tuples
+    e_i = (i, t, k-t, k-i) vanishes on the block part of every chain
+    image and is nonzero on every isolated product tuple."""
+    for t in range(k // 2 + 1, k):
+        phi = {(i, t, k - t, k - i): (-1) ** i for i in range(t + 1, k + 1)}
+        for l in range(t + 1, k):
+            if sum(phi.get(m, 0) for m in _dx_tuples((l, t, k - t, k - l - 1))):
+                return False
+        for s in range(t + 1, k + 1):
+            if not phi.get(tuple(sorted((s, k - s, t, k - t), reverse=True))):
+                return False
+    return True
+
+
 def verify_square_lemma(k: int) -> bool:
     """Check that no square of a degree-k two-theta element is dx-exact.
 
@@ -542,44 +554,26 @@ def verify_square_lemma(k: int) -> bool:
     touch the block with middle pair (t, k-t) form a two-banded chain
     whose image never produces the isolated product monomial.
     Infeasibility of every chain system rules out squares with two or
-    more nonzero coefficients; a feasible one means the check cannot
-    decide.  Both undecided cases raise InternalInconsistency.  The chain
-    and its block depend on (k, t) alone, not on s, so the chain of each
-    leading index t is built once and every pair (s, t) is solved over
-    it; the first pair tried is (support[1], support[0]).
+    more nonzero coefficients, and a dual certificate per leading index t
+    proves it (_chains_are_infeasible).  On the block monomials
+    e_i = (i, t, k-t, k-i), i = t+1..k, the dx image of the chain
+    monomial (l, t, k-t, k-l-1), t < l < k, is e_l + e_(l+1) (raising a
+    middle index leaves the block), and the product of the pairs s > t
+    is +-e_s.  phi_t(e_i) = (-1)^i kills every chain column and is +-1
+    on every e_s, so by the Fredholm alternative no chain system is
+    feasible.  A failed certificate, in either part, means the check
+    cannot decide and raises InternalInconsistency.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    support = list(range(k // 2 + 1, k + 1))  # i > k - i >= 0
-    if len(support) < 2:
-        return True
     if not _outer_split_is_triangular(k):
         raise InternalInconsistency(
             f"outer-sum split leaks at k={k}; the check cannot decide"
         )
-    pair = {i: theta_monomial((i, k - i)) for i in support}
-    for a, t in enumerate(support[:-1]):
-        block_keys = {
-            next(iter(theta_monomial((i, t, k - t, k - i)).terms))
-            for i in range(t + 1, k + 1)
-        }
-        chain = []
-        for l in range(t + 1, k):
-            idx = (l, t, k - t, k - l - 1)
-            if len(set(idx)) < 4:
-                continue
-            mono = theta_monomial(tuple(sorted(idx, reverse=True)))
-            chain.append(_restrict(mono.dx(), block_keys))
-        for s in support[a + 1 :]:
-            target = mul(pair[s], pair[t])
-            if target.is_zero():
-                continue
-            if solve(chain, _restrict(target, block_keys)) is not None:
-                raise InternalInconsistency(
-                    f"chain system feasible at k={k}, pair ({s},{t}); "
-                    "the check cannot decide"
-                )
+    if not _chains_are_infeasible(k):
+        raise InternalInconsistency(
+            f"chain certificate fails at k={k}; the check cannot decide"
+        )
     return True
 
 
@@ -613,18 +607,36 @@ def verify_varder_lemma(d: int) -> bool:
     )
 
 
+def _leads_distinct(columns) -> bool:
+    """True when the columns are nonzero and their leads (largest keys)
+    are pairwise distinct.  This proves them independent: in a nonzero
+    combination, the largest lead among the columns used is a key of no
+    other column used, so it keeps its coefficient."""
+    if any(col.is_zero() for col in columns):
+        return False
+    return len({max(col.terms) for col in columns}) == len(columns)
+
+
 def verify_bockstein_injective(d: int) -> bool:
     """The split classes stay independent modulo adjoint coboundaries.
 
-    Ranks the split-class columns, the columns of slice d of the (d, 1)
-    block.  They lie in x-order d and y-order 0, every coboundary column
-    in y-order at least one (see the module docstring), so the two share
-    no row: a combination of split columns equal to a coboundary is zero
-    on both sides.  Independence modulo the coboundaries is therefore
-    independence of the split columns alone, that is full column rank.
+    Decides the independence of the split-class columns, the columns of
+    slice d of the (d, 1) block.  They lie in x-order d and y-order 0,
+    every coboundary column in y-order at least one (see the module
+    docstring), so the two share no row: a combination of split columns
+    equal to a coboundary is zero on both sides.  Independence modulo the
+    coboundaries is therefore independence of the split columns alone.
+    A zero column gives False, distinct leads (_leads_distinct) True,
+    and two equal leads raise InternalInconsistency: cannot decide.
     """
     _, columns = _split_class_columns(d)
-    return len(pivot_columns(columns)) == len(columns)
+    if any(col.is_zero() for col in columns):
+        return False
+    if not _leads_distinct(columns):
+        raise InternalInconsistency(
+            f"split-class columns share a lead at d={d}; the check cannot decide"
+        )
+    return True
 
 
 def verify_nontriv_lemma(d: int) -> bool:
@@ -643,21 +655,21 @@ def verify_nontriv_lemma(d: int) -> bool:
     quotient (w f is congruent to u * var_u(f); see variational).  A
     combination of pair brackets is therefore zero as a functional
     exactly when the same combination of their var_u columns is zero:
-    the columns have the linear dependencies, hence the pivots and the
-    zero columns, of the brackets themselves.  The var_theta columns
-    (injective at super degree three) would give the same, but var_u is
-    cheaper: each bracket term has one u-factor u^(a,0) but three theta
-    factors.  When the n(n+1)/2 pair columns (the var_u coordinates of
-    the [B(q_i), B(q_j)], i <= j) are linearly independent, the
-    coordinate forms span every quadratic form in a;
-    each a_i^2 is then a combination of them, and a common zero forces
-    a = 0.  This holds over any field containing QQ, so no test for real
+    the columns have the linear dependencies, hence the zero columns,
+    of the brackets themselves.  The var_theta columns (injective at
+    super degree three) would give the same, but var_u is cheaper: each
+    bracket term has one u-factor u^(a,0) but three theta factors.  When
+    the n(n+1)/2 pair columns (the var_u coordinates of the
+    [B(q_i), B(q_j)], i <= j) are linearly independent, the coordinate
+    forms span every quadratic form in a; each a_i^2 is then a
+    combination of them, and a common zero forces a = 0.  This holds over any field containing QQ, so no test for real
     roots is needed.
 
     A zero diagonal column makes q_i itself a counterexample: False.
-    Otherwise full rank gives True, and a lower rank raises
-    InternalInconsistency, because the argument cannot decide the lemma
-    then.
+    Otherwise distinct leads (_leads_distinct) prove the columns
+    independent and give True; a zero off-diagonal column or two equal
+    leads raise InternalInconsistency, because the certificate cannot
+    decide the lemma then.
     """
     quot = theta_quotient_basis(3, d)
     if not quot:
@@ -672,8 +684,8 @@ def verify_nontriv_lemma(d: int) -> bool:
             if Bi is Bj and col.is_zero():
                 return False
             cols.append(col)
-    if len(pivot_columns(cols)) < len(cols):
+    if not _leads_distinct(cols):
         raise InternalInconsistency(
-            f"self-bracket columns are dependent at d={d}; the check cannot decide"
+            f"self-bracket columns share a lead at d={d}; the check cannot decide"
         )
     return True

@@ -20,9 +20,8 @@ free unknowns set to zero, are those of Gauss-Jordan elimination over
 QQ, and repeated runs produce identical solutions.  Arithmetic is
 exact; there is no tolerance anywhere.
 
-Each call eliminates once and keeps nothing: solve reduces its
-right-hand side with the rows, and pivot_columns answers rank questions
-on the zero right-hand side.
+solve is the one entry point: each call eliminates once, reduces its
+right-hand side with the rows, and keeps nothing.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ class SparseSystem:
     """The integer rows of a set of polynomial columns and a right-hand side.
 
     rhs is the integer right-hand side, one entry per row, scaled by
-    rhs_scale; all zeros without one.  A key of the right-hand side that
-    no column reaches is an empty row with a nonzero rhs entry.
+    rhs_scale.  A key of the right-hand side that no column reaches is an
+    empty row with a nonzero rhs entry.
     """
 
-    def __init__(self, columns, rhs=None):
+    def __init__(self, columns, rhs):
         rows = defaultdict(dict)
         self.scales = []
         for j, col in enumerate(columns):
@@ -57,7 +56,7 @@ class SparseSystem:
             self.scales.append(s)
             for key, v in entries.items():
                 rows[key][j] = v
-        self.rhs_scale, b = (1, {}) if rhs is None else _integral(rhs)
+        self.rhs_scale, b = _integral(rhs)
         for key in b:
             rows.setdefault(key, {})
         self.ncols = len(self.scales)
@@ -135,15 +134,3 @@ def solve(columns, rhs):
         if b[piv]:
             sol[col] = QQ(b[piv] * system.scales[col], rows[piv][col] * system.rhs_scale)
     return sol
-
-
-def pivot_columns(columns) -> list:
-    """The pivot columns, ascending.
-
-    Pivots are taken leftmost first, so column j is a pivot exactly when
-    it is independent of columns 0..j-1, and the columns have full rank
-    exactly when every one is a pivot.
-    """
-    system = SparseSystem(columns)
-    _, pivot_of = system._eliminate(system.ncols, system.rows, system.rhs)
-    return sorted(pivot_of)

@@ -44,15 +44,6 @@ class BracketSpecFile:
             self.order, {d: Functional(p) for d, p in self.densities.items()}
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, BracketSpecFile):
-            return NotImplemented
-        if (self.order, self.kind) != (other.order, other.kind):
-            return False
-        if self.kind == "delta":
-            return self.delta.coefficients == other.delta.coefficients
-        return self.densities == other.densities
-
 
 # parenthesized expressions parse recursively, four frames per level, so
 # the depth is bounded well below Python's recursion limit

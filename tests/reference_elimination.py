@@ -4,7 +4,9 @@ Plain Gauss-Jordan elimination over the rationals with the pivot rule of
 thetacalc.linsolve (leftmost column, then the pivot row with the fewest
 nonzeros, index tie-break): the pivot row is divided by its pivot and
 every other row holding the column loses f times it.  linsolve's
-fraction-free integer kernel must give exactly these solutions.
+fraction-free integer kernel must give exactly these solutions.  The
+rank questions of the tests (pivot columns, rank) are answered here
+only; the library decides its lemmas by certificates.
 """
 
 from collections import defaultdict
@@ -68,6 +70,13 @@ def reference_solve(columns, rhs):
     return sol
 
 
-def reference_rank(columns):
+def reference_pivot_columns(columns):
+    """The pivot columns, ascending.  Pivots are taken leftmost first, so
+    column j is a pivot exactly when it is independent of columns
+    0..j-1."""
     rows, b = _system(columns, {})
-    return len(_eliminate(len(columns), rows, b)[1])
+    return sorted(_eliminate(len(columns), rows, b)[1])
+
+
+def reference_rank(columns):
+    return len(reference_pivot_columns(columns))

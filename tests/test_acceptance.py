@@ -9,6 +9,7 @@ import hashlib
 import random
 import time
 
+from reference_elimination import reference_rank
 from reference_lemmas import theta_basis
 
 from thetacalc.algebra import Grade, enumerate_basis, mul, random_element
@@ -21,7 +22,6 @@ from thetacalc.cohomology import (
     verify_square_lemma,
     verify_varder_lemma,
 )
-from thetacalc.linsolve import pivot_columns
 from thetacalc.normalizer import (
     build_normal_form,
     invariants_fast,
@@ -102,13 +102,13 @@ def test_criterion_5_basis_dimensions():
         d = 2 * k - 1
         want = (k - 2) // 3 + 1
         got = len(theta_quotient_basis(3, d))
-        rank = len(pivot_columns([b.dx() for b in theta_basis(3, d - 1)]))
+        rank = reference_rank([b.dx() for b in theta_basis(3, d - 1)])
         ok = ok and got == want == len(theta_basis(3, d)) - rank
     for k in range(3, 9):
         d = 2 * k
         want = (k - 3) // 3 + 1
         got = len(theta_quotient_basis(3, d))
-        rank = len(pivot_columns([b.dx() for b in theta_basis(3, d - 1)]))
+        rank = reference_rank([b.dx() for b in theta_basis(3, d - 1)])
         ok = ok and got == want == len(theta_basis(3, d)) - rank
     _report("5 quotient dimensions match the closed form and rank-nullity", ok, t0)
 

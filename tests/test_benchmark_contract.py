@@ -55,27 +55,47 @@ def test_traced_normalize_fills_the_linsolve_counters(tracer_module):
     assert summary["linsolve.infeasible"] == 0
 
 
-def test_traced_lemmas_fill_the_linsolve_counters(tracer_module):
+def test_traced_linsolve_counters_come_from_solve_slice_alone(tracer_module):
+    from thetacalc.algebra import DiffPoly
     from thetacalc.cohomology import (
+        _odd_part,
+        bockstein_split,
+        solve_slice,
+        theta_monomial,
         verify_bockstein_injective,
+        verify_nontriv_lemma,
         verify_square_lemma,
         verify_varder_lemma,
     )
+    from thetacalc.variational import var_theta
 
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        # each square check runs its chain systems
-        verdicts = [verify_square_lemma(4), verify_square_lemma(5),
-                    verify_varder_lemma(5), verify_bockstein_injective(5)]
+        verdicts = [verify_square_lemma(4), verify_square_lemma(5), verify_varder_lemma(5),
+                    verify_bockstein_injective(5), verify_nontriv_lemma(5)]
     finally:
         tracer.uninstall()
-    assert verdicts == [True] * 4
+    assert verdicts == [True] * 5
+    # the lemma verifiers decide by certificates, without elimination
+    assert tracer.summary()["linsolve.eliminate.calls"] == 0
+
+    # slice 3 of the (3, 1) block holds the split-class columns; a row
+    # key outside the slice makes the second right-hand side infeasible
+    rows = _odd_part(var_theta(bockstein_split(theta_monomial((2, 1, 0)))))
+    foreign = rows + DiffPoly({(0, (), ((9, 9),)): 1})
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        parts = [solve_slice(3, 1, 3, rows), solve_slice(3, 1, 3, foreign)]
+    finally:
+        tracer.uninstall()
+    assert parts[0] is not None and parts[1] is None
     summary = tracer.summary()
-    assert summary["linsolve.eliminate.calls"] > 0
-    assert summary["linsolve.rank"] > 0
-    # the chain systems of the square lemma are infeasible
-    assert summary["linsolve.infeasible"] > 0
+    assert summary["linsolve.eliminate.calls"] == 2
+    for counter in ("unknowns", "rows", "nnz_in", "nnz_out", "rank", "max_block_unknowns"):
+        assert summary[f"linsolve.{counter}"] > 0, counter
+    assert summary["linsolve.infeasible"] == 1
 
 
 def test_cli_launcher_traces_one_parse_and_one_normalize(tmp_path):

@@ -3,9 +3,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference_elimination import reference_solve
+from reference_elimination import reference_pivot_columns, reference_rank, reference_solve
 from reference_euler import reference_ad_p1_column, reference_bockstein_split, reference_delta
-from reference_lemmas import reference_split_leaks, reference_varder_solvable, theta_basis
+from reference_lemmas import (
+    reference_chain_feasible,
+    reference_split_leaks,
+    reference_varder_solvable,
+    theta_basis,
+)
 from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
@@ -27,7 +32,7 @@ from thetacalc.cohomology import (
     verify_varder_lemma,
 )
 from thetacalc.errors import InternalInconsistency, NotACocycle
-from thetacalc.linsolve import pivot_columns, solve
+from thetacalc.linsolve import solve
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional, _DerivativeTable, var_theta, var_u
@@ -116,7 +121,7 @@ def test_quotient_basis_sizes_match_rank_nullity():
     for p in (2, 3, 4):
         for d in range(1, 13):
             dim = len(theta_basis(p, d))
-            rank = len(pivot_columns([b.dx() for b in theta_basis(p, d - 1)]))
+            rank = reference_rank([b.dx() for b in theta_basis(p, d - 1)])
             assert len(theta_quotient_basis(p, d)) == dim - rank, (p, d)
 
 
@@ -410,8 +415,42 @@ def test_bockstein_check_agrees_with_the_whole_block():
     # the class slice decides what the whole (d, 1) block decides
     for d in range(1, 13):
         basis, _, _, cols = _reference_block(d, 1)
-        splits_independent = set(range(len(basis), len(cols))) <= set(pivot_columns(cols))
+        splits_independent = set(range(len(basis), len(cols))) <= set(reference_pivot_columns(cols))
         assert verify_bockstein_injective(d) == splits_independent, d
+
+
+def test_leads_certificate_decides_independence():
+    a, b, c = (th(k, 0) for k in range(3))
+    assert cohomology._leads_distinct([a, a + b, b + c])
+    # equal leads with independent columns: the certificate cannot tell
+    assert not cohomology._leads_distinct([a + c, c])
+    assert not cohomology._leads_distinct([a, DiffPoly.zero()])
+    assert cohomology._leads_distinct([])
+
+
+def test_split_class_leads_are_distinct_and_the_rank_is_full():
+    # the certificate holds where the elimination finds full rank, d <= 30
+    for d in range(1, 31):
+        _, columns = cohomology._split_class_columns(d)
+        assert reference_rank(columns) == len(columns), d
+        assert cohomology._leads_distinct(columns), d
+
+
+def test_bockstein_cannot_decide_equal_leads(monkeypatch):
+    monkeypatch.setattr(cohomology, "_leads_distinct", lambda columns: False)
+    with pytest.raises(InternalInconsistency, match="cannot decide"):
+        verify_bockstein_injective(5)
+
+
+def test_bockstein_is_false_on_a_zero_split_column(monkeypatch):
+    split = cohomology._split_class_columns
+
+    def with_a_zero(d):
+        keys, columns = split(d)
+        return keys + keys[:1], columns + [DiffPoly.zero()]
+
+    monkeypatch.setattr(cohomology, "_split_class_columns", with_a_zero)
+    assert verify_bockstein_injective(5) is False
 
 
 def test_block_solve_rejects_a_bivector_density():
@@ -660,11 +699,26 @@ def test_no_square_is_dx_exact_up_to_k_14():
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_square_lemma_cannot_decide_a_feasible_chain(monkeypatch, k):
-    # every k runs the chain systems, also those where the products
-    # alone are independent modulo the dx images
-    monkeypatch.setattr(cohomology, "solve", lambda columns, rhs: [QQ(0)] * len(columns))
-    with pytest.raises(InternalInconsistency, match="chain system feasible"):
+    # every k with a split runs the chain certificate, also those where
+    # the products alone are independent modulo the dx images
+    monkeypatch.setattr(cohomology, "_chains_are_infeasible", lambda k: False)
+    with pytest.raises(InternalInconsistency, match="chain certificate fails"):
         verify_square_lemma(k)
+
+
+def test_chain_certificate_agrees_with_the_chain_elimination():
+    # the dual certificate holds where the elimination finds every chain
+    # system infeasible, k <= 26
+    for k in range(1, 27):
+        assert reference_chain_feasible(k) == [], k
+        assert cohomology._chains_are_infeasible(k), k
+
+
+def test_chain_certificate_sees_a_broken_functional(monkeypatch):
+    # a dx that raises only the first index leaves e_(l+1) alone in each
+    # chain column, where phi_t is +-1
+    monkeypatch.setattr(cohomology, "_dx_tuples", lambda ks: [(ks[0] + 1,) + ks[1:]])
+    assert not cohomology._chains_are_infeasible(5)
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -735,7 +789,7 @@ def test_splitting_injective_small_range():
         quot = theta_quotient_basis(3, d)
         gen = [reference_ad_p1_column(m.as_poly()) for m in enumerate_basis(Grade(d - 1, 0, 2))]
         b = [var_theta(bockstein_split(q)) for q in quot]
-        want = len(pivot_columns(gen + b)) == len(pivot_columns(gen)) + len(quot)
+        want = reference_rank(gen + b) == reference_rank(gen) + len(quot)
         assert verify_bockstein_injective(d) == want
         assert want, d
 
@@ -764,13 +818,27 @@ def test_nontriv_var_u_and_var_theta_pair_columns_agree():
     assert len(degrees) == 19
     for d in degrees:
         by_u, by_theta = _pair_columns(d, var_u), _pair_columns(d, var_theta)
-        assert pivot_columns(by_u) == pivot_columns(by_theta), d
+        assert reference_pivot_columns(by_u) == reference_pivot_columns(by_theta), d
         assert [c.is_zero() for c in by_u] == [c.is_zero() for c in by_theta], d
 
 
 def test_nontriv_is_false_on_a_zero_self_bracket(monkeypatch):
     monkeypatch.setattr(cohomology, "schouten", lambda P, Q: Functional.zero())
     assert verify_nontriv_lemma(15) is False
+
+
+def test_nontriv_pair_leads_are_distinct_and_the_rank_is_full():
+    # the certificate holds where the elimination finds full rank, d <= 22
+    for d in range(1, 23):
+        columns = _pair_columns(d, var_u)
+        assert reference_rank(columns) == len(columns), d
+        assert cohomology._leads_distinct(columns), d
+
+
+def test_nontriv_cannot_decide_equal_leads(monkeypatch):
+    monkeypatch.setattr(cohomology, "_leads_distinct", lambda columns: False)
+    with pytest.raises(InternalInconsistency, match="cannot decide"):
+        verify_nontriv_lemma(15)
 
 
 def test_nontriv_cannot_decide_dependent_pair_columns(monkeypatch):

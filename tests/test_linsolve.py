@@ -1,5 +1,5 @@
 from hypothesis import given, settings, strategies as st
-from reference_elimination import reference_rank, reference_solve
+from reference_elimination import reference_solve
 
 from thetacalc.algebra import DiffPoly, mul
 from thetacalc.cohomology import (
@@ -8,7 +8,7 @@ from thetacalc.cohomology import (
     evolutionary_field,
     theta_monomial,
 )
-from thetacalc.linsolve import pivot_columns, solve
+from thetacalc.linsolve import solve
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional
@@ -46,19 +46,6 @@ def test_kernel_matches_fraction_reference(sys_):
     cols, rhs = sys_
     want = reference_solve(cols, rhs)
     assert solve(cols, rhs) == want
-    assert len(pivot_columns(cols)) == reference_rank(cols)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(column, max_size=3), st.lists(column, min_size=1, max_size=3), st.booleans())
-def test_pivot_columns_match_the_rank_equation(a, b, dependent):
-    # the columns of b are all pivots exactly when they are independent
-    # modulo the span of a; a column combined from b[0] and a[0] makes
-    # the dependent case common
-    if dependent:
-        b = b + [b[0].scale(QQ(-2, 3)) + (a[0] if a else DiffPoly.zero())]
-    want = reference_rank(a + b) == reference_rank(a) + len(b)
-    assert (set(range(len(a), len(a + b))) <= set(pivot_columns(a + b))) == want
 
 
 def _all_qq(values):
