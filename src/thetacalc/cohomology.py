@@ -36,9 +36,12 @@ column), so slice by slice gives the pivots and solutions of the
 whole block.
 
 solve_slice(d, w, a, rows) builds the columns of one slice and solves
-the slice's rows over them in one elimination; only the generator basis
-of a block is kept, enumerated once, grouped by x-order and shared by
-the block's slices.  decompose_h2 is the one loop that solves through
+the slice's rows over them: a generator slice with
+linsolve.solve_by_row_subsets, which eliminates a few sparse rows per
+column and checks the rest exactly, the class slice a = d in one
+elimination of every row.  Only the generator basis of a block is
+kept, enumerated once, grouped by x-order and shared by the block's
+slices.  decompose_h2 is the one loop that solves through
 it: it groups the odd-order coordinates of var_theta(P_d) by (weight,
 x-order) and solves only the slices they reach.  On two order-6
 conjugates they reach 21 of the 78 generator slices (178 of 494
@@ -87,7 +90,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
 from .errors import InternalInconsistency, NotACocycle
-from .linsolve import solve
+from .linsolve import solve, solve_by_row_subsets
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, var_theta, var_u
@@ -355,11 +358,13 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     the module docstring).  For a < d the columns are the ad_p1 images
     of the generators of Grade(d-1, 0, w+1) with x-order a; slice d
     holds the class columns only: the c column (w = 0, d odd) and the
-    split-class columns (w = 1).  The columns are built, eliminated with
-    rows as right-hand side, and dropped.  None also when a row lies
-    outside the slice.  Raises ValueError when rows is not a theta
-    derivative of a bivector (super degree one), say the bivector
-    density itself.
+    split-class columns (w = 1).  The columns are built, solved with rows
+    as right-hand side, and dropped: the integral generator columns of
+    a < d on a few sparse rows per column, checked exactly on the rest
+    (linsolve.solve_by_row_subsets), the class columns of a = d in one
+    elimination of every row.  None also when a row lies outside the
+    slice.  Raises ValueError when rows is not a theta derivative of a
+    bivector (super degree one), say the bivector density itself.
     """
     if rows.super_degree() != 1:
         raise ValueError("solve_slice expects var_theta coordinates")
@@ -376,7 +381,7 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     if w == 1 and a == d:
         chi_keys, chi_columns = _split_class_columns(d)
         columns += chi_columns
-    sol = solve(columns, rows)
+    sol = (solve_by_row_subsets if a < d else solve)(columns, rows)
     if sol is None:
         return None
     x = DiffPoly({k: v for k, v in zip(x_keys, sol) if v != 0})
@@ -411,8 +416,8 @@ def decompose_h2(P_d: Functional, d: int) -> H2Decomposition:
     x-order, and each slice is solved on its own (see the module
     docstring): the constant and the split classes in slice d, the
     generators of weight w+1 and x-order a in slice a < d of weight w.
-    Only the slices that P_d reaches are built, each solved by one
-    elimination with its rows as right-hand side.  Raises NotACocycle when
+    Only the slices that P_d reaches are built, each solved with its
+    rows as right-hand side.  Raises NotACocycle when
     the input is not closed and InternalInconsistency when a slice is
     infeasible or the round trip fails (which the cohomology computation
     excludes for genuine cocycles).

@@ -4,7 +4,8 @@ Systems are assembled from polynomial columns, with rows keyed by
 monomial keys and columns by unknown indices.  Each column is scaled by
 the lcm of its coefficient denominators, so the coefficient matrix is
 integral, and the right-hand side by the lcm of its own; both scales are
-undone in the solution.
+undone in the solution.  A column with int coefficients (every generator
+column is one) goes into the rows as it is, with scale 1.
 
 Elimination is fraction-free over Python ints (Bareiss 1968; von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The pivot row is
@@ -20,8 +21,34 @@ free unknowns set to zero, are those of Gauss-Jordan elimination over
 QQ, and repeated runs produce identical solutions.  Arithmetic is
 exact; there is no tolerance anywhere.
 
-solve is the one entry point: each call eliminates once, reduces its
-right-hand side with the rows, and keeps nothing.
+solve eliminates every row once, reduces its right-hand side with the
+rows, and keeps nothing.  solve_by_row_subsets returns the same answer
+from fewer rows.  Most rows of a coboundary slice end as zero, and
+reducing them is most of the work, so it first eliminates a subset: for
+each column in turn, the sparsest row holding it that no earlier column
+took, so at most one row per column.  It then checks the candidate in
+ints on every row left out and returns it only when every residual is
+zero.  When one is not, the round is repeated with 2, then 4, ...
+rows per column; once a round would take every row that holds a
+column, all rows are eliminated as in solve.  That last elimination is
+the only one that returns None, and _eliminate may run several times in
+one solve.  The answer is exactly solve's:
+
+  - column j is a pivot exactly when it is independent of columns
+    0..j-1 over the rows eliminated.  A column that depends on earlier
+    ones over all rows does so over any subset, so the subset's pivot
+    columns are among the full pivot columns;
+  - the full pivot columns are independent, so at most one vector
+    supported on them solves every row: the full solution with free
+    unknowns zero;
+  - the subset solution is supported on the subset's pivots, so once
+    it solves the rows left out too, it is that vector, value for
+    value.
+
+No rank bound is needed.  The one proposed for coboundary slices, the
+column count less the Hamiltonian fields, fails where H^1 is nonzero:
+at (d even, w = 0, a = d-1) it allows rank 1, but the one column, that
+of u^(d-1,0)*th, is zero.
 """
 
 from __future__ import annotations
@@ -34,8 +61,11 @@ from .rationals import QQ, ZERO
 
 def _integral(poly):
     """The lcm s of poly's coefficient denominators, and its nonzero
-    coefficients times s as ints."""
+    coefficients times s as ints; int coefficients are returned as they
+    are, with s = 1."""
     terms = poly.terms
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
     s = lcm(*(int(c.denominator) for c in terms.values()))
     return s, {k: int(c.numerator) * (s // int(c.denominator)) for k, c in terms.items() if c}
 
@@ -118,19 +148,93 @@ class SparseSystem:
             colindex[col] = {piv}
         return used, pivot_of
 
+    def _pivots(self, rows, rhs):
+        """Eliminate rows and rhs in place.
+
+        Returns each pivot unknown with a nonzero value as
+        {column: (rhs entry, pivot entry)} of its pivot row, or None when a
+        row off the pivots keeps a nonzero right-hand side.
+        """
+        used, pivot_of = self._eliminate(self.ncols, rows, rhs)
+        if any(rhs[i] for i in range(len(rows)) if i not in used):
+            return None
+        return {col: (rhs[piv], rows[piv][col]) for col, piv in pivot_of.items() if rhs[piv]}
+
+    def _satisfies(self, pivots, skip):
+        """Whether the pivot values solve every row outside skip, in ints.
+
+        Each value is v/pv; over their common denominator L the row
+        equation sum_j r_j v_j/pv_j = b reads sum_j r_j (v_j L/pv_j) = b L.
+        """
+        L = lcm(*(pv for _, pv in pivots.values()))
+        num = {col: v * (L // pv) for col, (v, pv) in pivots.items()}
+        b = self.rhs
+        for i, r in enumerate(self.rows):
+            if i in skip:
+                continue
+            total = 0
+            for col, v in r.items():
+                n = num.get(col)
+                if n is not None:
+                    total += v * n
+            if total != b[i] * L:
+                return False
+        return True
+
+    def _solution(self, pivots):
+        """The solution from _pivots' pivot unknowns; None passes through."""
+        if pivots is None:
+            return None
+        sol = [ZERO] * self.ncols
+        for col, (v, pv) in pivots.items():
+            sol[col] = QQ(v * self.scales[col], pv * self.rhs_scale)
+        return sol
+
 
 def solve(columns, rhs):
     """Coefficients expressing the polynomial rhs over the columns.
 
     Free unknowns are set to zero; None when rhs is outside the span.
+    One elimination of every row.
+    """
+    system = SparseSystem(columns, rhs)
+    return system._solution(system._pivots(system.rows, system.rhs))
+
+
+def solve_by_row_subsets(columns, rhs):
+    """solve's answer, from an elimination of a few sparse rows per column.
+
+    Round k eliminates copies of the k sparsest rows of each column that
+    no earlier column took, and returns its solution when every row left
+    out holds exactly; k doubles while a row fails.  Once the round would
+    take every row that holds a column, all rows are eliminated as in
+    solve, and that elimination alone returns None.
     """
     system = SparseSystem(columns, rhs)
     rows, b = system.rows, system.rhs
-    used, pivot_of = system._eliminate(system.ncols, rows, b)
-    if any(b[i] for i in range(len(rows)) if i not in used):
-        return None
-    sol = [ZERO] * system.ncols
-    for col, piv in pivot_of.items():
-        if b[piv]:
-            sol[col] = QQ(b[piv] * system.scales[col], rows[piv][col] * system.rhs_scale)
-    return sol
+    # each column's rows, sparsest first (sorted is stable: index tie-break)
+    holders = [[] for _ in range(system.ncols)]
+    for i in sorted(range(len(rows)), key=[len(r) for r in rows].__getitem__):
+        for col in rows[i]:
+            holders[col].append(i)
+    held = sum(1 for r in rows if r)
+    k = 1
+    while True:
+        taken = {}
+        for hs in holders:
+            n = 0
+            for i in hs:
+                if n == k:
+                    break
+                if i not in taken:
+                    taken[i] = None
+                    n += 1
+        if len(taken) == held:
+            break
+        pivots = system._pivots([dict(rows[i]) for i in taken], [b[i] for i in taken])
+        if pivots is None:
+            break  # rows of the subset already disagree: infeasible
+        if system._satisfies(pivots, taken):
+            return system._solution(pivots)
+        k *= 2
+    return system._solution(system._pivots(rows, b))

@@ -1,17 +1,22 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 from reference_elimination import reference_solve
 
 from thetacalc.algebra import DiffPoly, mul
 from thetacalc.cohomology import (
+    _ad_p1_column,
+    _generator_keys,
     bockstein_split,
     decompose_h2,
     evolutionary_field,
+    solve_slice,
     theta_monomial,
 )
-from thetacalc.linsolve import solve
+from thetacalc.linsolve import SparseSystem, solve, solve_by_row_subsets
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
-from thetacalc.variational import Functional
+from thetacalc.variational import Functional, _DerivativeTable
 
 KEYS = [(0, (), ((k, 0),)) for k in range(6)]
 FOREIGN = (0, (), ((9, 9),))  # a row key no column reaches
@@ -46,6 +51,56 @@ def test_kernel_matches_fraction_reference(sys_):
     cols, rhs = sys_
     want = reference_solve(cols, rhs)
     assert solve(cols, rhs) == want
+    assert solve_by_row_subsets(cols, rhs) == want
+
+
+def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypatch):
+    # a generator slice is solved on a few sparse rows per column and
+    # checked on the rows left out; the answer must be that of
+    # eliminating every row
+    eliminated = []  # the rows each elimination of one solve receives
+    eliminate = SparseSystem._eliminate
+
+    def recording(self, ncols, rows, rhs):
+        eliminated.append([dict(r) for r in rows])
+        return eliminate(self, ncols, rows, rhs)
+
+    monkeypatch.setattr(SparseSystem, "_eliminate", recording)
+    rng = random.Random(23)
+    second_round, refused = set(), set()
+    for d in range(1, 9):
+        for w in range(4):
+            for a, keys in _generator_keys(d, w).items():
+                table = _DerivativeTable()
+                cols = [_ad_p1_column(DiffPoly({k: 1}), table) for k in keys]
+                rhs = DiffPoly.zero()
+                for col in cols:
+                    rhs = rhs + col.scale(QQ(rng.choice((-3, -2, -1, 1, 2, 3))))
+                if rhs.is_zero():
+                    continue  # every column is zero: the slice has no row
+                eliminated.clear()
+                part = solve_slice(d, w, a, rhs)
+                want = reference_solve(cols, rhs)
+                assert part.x == DiffPoly({k: v for k, v in zip(keys, want) if v}), (d, w, a)
+                if len(eliminated) > 1:
+                    second_round.add((d, w, a))
+                # one more unit on a row that the first elimination left out
+                row_of = {}
+                for j, col in enumerate(cols):
+                    for key, v in col.terms.items():
+                        row_of.setdefault(key, {})[j] = v
+                left_out = [key for key, row in row_of.items() if row not in eliminated[0]]
+                for key in left_out:
+                    bad = rhs + DiffPoly({key: QQ(1)})
+                    if reference_solve(cols, bad) is None:
+                        assert solve_slice(d, w, a, bad) is None, (d, w, a, key)
+                        refused.add((d, w, a))
+                        break
+                else:
+                    assert not left_out, (d, w, a)
+    # one row per column reaches rank 20 of 21 and 36 of 37 there
+    assert second_round == {(7, 3, 2), (8, 3, 3)}
+    assert len(refused) == 95  # every slice with more rows than columns
 
 
 def _all_qq(values):

@@ -328,12 +328,16 @@ def test_normal_form_builds_only_class_slices(monkeypatch):
 
 @pytest.mark.parametrize(
     "order, md5",
-    [(9, "629139992260156f1257240cf0a3519f"), (10, "67e0abeb3c67d3cf8f51b4be26df5ab7")],
+    [
+        (9, "629139992260156f1257240cf0a3519f"),
+        (10, "67e0abeb3c67d3cf8f51b4be26df5ab7"),
+        (11, "1950aa78fb4c55bdbc0146ed5cb1a50b"),
+    ],
 )
 def test_larger_conjugate_generators_are_pinned(order, md5):
-    # the criterion-7 recipe at orders 9 and 10, whose largest slices
-    # have 162 and 133 columns: the invariants come back exactly and the
-    # generators are pinned
+    # the criterion-7 recipe at orders 9, 10 and 11, whose largest slices
+    # have 162, 133 and 269 columns: the invariants come back exactly and
+    # the generators are pinned (CI also runs order 12)
     import hashlib
 
     from thetacalc.printer import format_poly
