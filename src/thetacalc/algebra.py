@@ -231,11 +231,6 @@ class DiffPoly:
             out.setdefault(_key_grade(key).w, {})[key] = c
         return {w: DiffPoly(t) for w, t in sorted(out.items())}
 
-    def homogeneous_component(self, grade: Grade) -> "DiffPoly":
-        return DiffPoly(
-            {k: c for k, c in self._terms.items() if _key_grade(k) == grade}
-        )
-
     def is_u_free(self) -> bool:
         return all(upow == 0 and not ufs for (upow, ufs, _) in self._terms)
 

@@ -36,12 +36,11 @@ column), so slice by slice gives the pivots and solutions of the
 whole block.
 
 solve_slice(d, w, a, rows) builds the columns of one slice and solves
-the slice's rows over them: a generator slice with
-linsolve.solve_by_row_subsets, which eliminates a few sparse rows per
-column and checks the rest exactly, the class slice a = d in one
-elimination of every row.  Only the generator basis of a block is
-kept, enumerated once, grouped by x-order and shared by the block's
-slices.  decompose_h2 is the one loop that solves through
+the slice's rows over them with linsolve.solve, which eliminates a few
+sparse rows per column and checks the rest exactly.  Only the
+generator basis of a block is kept, enumerated once, grouped by
+x-order and shared by the block's slices.  decompose_h2 is the one
+loop that solves through
 it: it groups the odd-order coordinates of var_theta(P_d) by (weight,
 x-order) and solves only the slices they reach.  On two order-6
 conjugates they reach 21 of the 78 generator slices (178 of 494
@@ -90,7 +89,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
 from .errors import InternalInconsistency, NotACocycle
-from .linsolve import solve, solve_by_row_subsets
+from .linsolve import solve
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
 from .variational import Functional, _DerivativeTable, var_theta, var_u
@@ -359,12 +358,10 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     of the generators of Grade(d-1, 0, w+1) with x-order a; slice d
     holds the class columns only: the c column (w = 0, d odd) and the
     split-class columns (w = 1).  The columns are built, solved with rows
-    as right-hand side, and dropped: the integral generator columns of
-    a < d on a few sparse rows per column, checked exactly on the rest
-    (linsolve.solve_by_row_subsets), the class columns of a = d in one
-    elimination of every row.  None also when a row lies outside the
-    slice.  Raises ValueError when rows is not a theta derivative of a
-    bivector (super degree one), say the bivector density itself.
+    as right-hand side by linsolve.solve, and dropped.  None also when a
+    row lies outside the slice.  Raises ValueError when rows is not a
+    theta derivative of a bivector (super degree one), say the bivector
+    density itself.
     """
     if rows.super_degree() != 1:
         raise ValueError("solve_slice expects var_theta coordinates")
@@ -381,7 +378,7 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     if w == 1 and a == d:
         chi_keys, chi_columns = _split_class_columns(d)
         columns += chi_columns
-    sol = (solve_by_row_subsets if a < d else solve)(columns, rows)
+    sol = solve(columns, rows)
     if sol is None:
         return None
     x = DiffPoly({k: v for k, v in zip(x_keys, sol) if v != 0})

@@ -21,18 +21,17 @@ free unknowns set to zero, are those of Gauss-Jordan elimination over
 QQ, and repeated runs produce identical solutions.  Arithmetic is
 exact; there is no tolerance anywhere.
 
-solve eliminates every row once, reduces its right-hand side with the
-rows, and keeps nothing.  solve_by_row_subsets returns the same answer
-from fewer rows.  Most rows of a coboundary slice end as zero, and
-reducing them is most of the work, so it first eliminates a subset: for
-each column in turn, the sparsest row holding it that no earlier column
-took, so at most one row per column.  It then checks the candidate in
-ints on every row left out and returns it only when every residual is
-zero.  When one is not, the round is repeated with 2, then 4, ...
-rows per column; once a round would take every row that holds a
-column, all rows are eliminated as in solve.  That last elimination is
-the only one that returns None, and _eliminate may run several times in
-one solve.  The answer is exactly solve's:
+solve reduces the right-hand side inside the elimination and keeps
+nothing.  Most rows of a coboundary slice end as zero, and reducing
+them is most of the work, so it eliminates a subset of the rows in
+rounds.  Round k takes every row that no column holds (a key of the
+right-hand side that no column reaches) and, for each column in turn,
+the k sparsest rows holding it that no earlier column took.  A round
+whose own rows disagree returns None; otherwise its candidate is checked
+in ints on every row left out and returned when every residual is zero
+(at once when the round took every row).  When one is not, k doubles,
+so a round eventually takes every row.  The answer is the one of
+eliminating every row:
 
   - column j is a pivot exactly when it is independent of columns
     0..j-1 over the rows eliminated.  A column that depends on earlier
@@ -43,7 +42,9 @@ one solve.  The answer is exactly solve's:
     unknowns zero;
   - the subset solution is supported on the subset's pivots, so once
     it solves the rows left out too, it is that vector, value for
-    value.
+    value;
+  - a subset of the equations with no solution proves that the whole
+    system has none.
 
 No rank bound is needed.  The one proposed for coboundary slices, the
 column count less the Hamiltonian fields, fails where H^1 is nonzero:
@@ -195,20 +196,7 @@ def solve(columns, rhs):
     """Coefficients expressing the polynomial rhs over the columns.
 
     Free unknowns are set to zero; None when rhs is outside the span.
-    One elimination of every row.
-    """
-    system = SparseSystem(columns, rhs)
-    return system._solution(system._pivots(system.rows, system.rhs))
-
-
-def solve_by_row_subsets(columns, rhs):
-    """solve's answer, from an elimination of a few sparse rows per column.
-
-    Round k eliminates copies of the k sparsest rows of each column that
-    no earlier column took, and returns its solution when every row left
-    out holds exactly; k doubles while a row fails.  Once the round would
-    take every row that holds a column, all rows are eliminated as in
-    solve, and that elimination alone returns None.
+    Solved in rounds on row subsets (see the module docstring).
     """
     system = SparseSystem(columns, rhs)
     rows, b = system.rows, system.rhs
@@ -217,10 +205,9 @@ def solve_by_row_subsets(columns, rhs):
     for i in sorted(range(len(rows)), key=[len(r) for r in rows].__getitem__):
         for col in rows[i]:
             holders[col].append(i)
-    held = sum(1 for r in rows if r)
     k = 1
     while True:
-        taken = {}
+        taken = {i: None for i, r in enumerate(rows) if not r}  # keys no column reaches
         for hs in holders:
             n = 0
             for i in hs:
@@ -229,12 +216,7 @@ def solve_by_row_subsets(columns, rhs):
                 if i not in taken:
                     taken[i] = None
                     n += 1
-        if len(taken) == held:
-            break
         pivots = system._pivots([dict(rows[i]) for i in taken], [b[i] for i in taken])
-        if pivots is None:
-            break  # rows of the subset already disagree: infeasible
-        if system._satisfies(pivots, taken):
+        if pivots is None or system._satisfies(pivots, taken):
             return system._solution(pivots)
         k *= 2
-    return system._solution(system._pivots(rows, b))

@@ -191,12 +191,6 @@ def test_grade_examples():
     assert grade_of(u() + th(1, 0)) is None
 
 
-def test_homogeneous_component():
-    a = u() + th(1, 0)
-    assert a.homogeneous_component(Grade(0, 0, 1)) == u()
-    assert a.homogeneous_component(Grade(1, 1, 0)) == th(1, 0)
-
-
 # -- basis enumeration ---------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from thetacalc.cohomology import (
     solve_slice,
     theta_monomial,
 )
-from thetacalc.linsolve import SparseSystem, solve, solve_by_row_subsets
+from thetacalc.linsolve import SparseSystem, solve
 from thetacalc.rationals import QQ
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional, _DerivativeTable
@@ -49,16 +49,12 @@ def system(draw):
 @given(system())
 def test_kernel_matches_fraction_reference(sys_):
     cols, rhs = sys_
-    want = reference_solve(cols, rhs)
-    assert solve(cols, rhs) == want
-    assert solve_by_row_subsets(cols, rhs) == want
+    assert solve(cols, rhs) == reference_solve(cols, rhs)
 
 
-def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypatch):
-    # a generator slice is solved on a few sparse rows per column and
-    # checked on the rows left out; the answer must be that of
-    # eliminating every row
-    eliminated = []  # the rows each elimination of one solve receives
+def _recording_eliminations(monkeypatch):
+    """A list that receives a copy of the rows of every elimination."""
+    eliminated = []
     eliminate = SparseSystem._eliminate
 
     def recording(self, ncols, rows, rhs):
@@ -66,6 +62,35 @@ def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypat
         return eliminate(self, ncols, rows, rhs)
 
     monkeypatch.setattr(SparseSystem, "_eliminate", recording)
+    return eliminated
+
+
+def test_an_infeasible_first_round_refuses_after_one_elimination(monkeypatch):
+    eliminated = _recording_eliminations(monkeypatch)
+    k0, k1, k2, k3 = KEYS[:4]
+    # each column holds two rows; the key no column reaches is in the
+    # first round, whose rows then disagree
+    cols = [DiffPoly({k0: 1, k1: 2}), DiffPoly({k2: 3, k3: 1})]
+    rhs = cols[0] + cols[1].scale(QQ(2)) + DiffPoly({FOREIGN: 1})
+    assert reference_solve(cols, rhs) is None
+    assert solve(cols, rhs) is None
+    assert len(eliminated) == 1 and {} in eliminated[0]
+
+    # the first round takes rows k0 and k1, equal on the columns but not
+    # on the right-hand side; row k2 is left out
+    eliminated.clear()
+    cols = [DiffPoly({k0: 1, k1: 1, k2: 1}), DiffPoly({k0: 1, k1: 1, k2: 1})]
+    rhs = DiffPoly({k0: 1, k1: 2})
+    assert reference_solve(cols, rhs) is None
+    assert solve(cols, rhs) is None
+    assert len(eliminated) == 1 and len(eliminated[0]) == 2
+
+
+def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypatch):
+    # a generator slice is solved on a few sparse rows per column and
+    # checked on the rows left out; the answer must be that of
+    # eliminating every row
+    eliminated = _recording_eliminations(monkeypatch)  # of one solve
     rng = random.Random(23)
     second_round, refused = set(), set()
     for d in range(1, 9):
