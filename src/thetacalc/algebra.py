@@ -219,11 +219,23 @@ class DiffPoly:
         return None if ps else 0
 
     def standard_degree(self) -> Optional[int]:
-        """Common standard degree of all terms, or None when mixed."""
-        ds = {_key_grade(k).d for k in self._terms}
-        if len(ds) == 1:
-            return ds.pop()
-        return None if ds else 0
+        """Common standard degree of all terms, or None when mixed.
+
+        One scan, summing each key's derivative counts and stopping at
+        the first mismatch.
+        """
+        deg = None
+        for _, ufs, ths in self._terms:
+            n = 0
+            for (s, t), e in ufs:
+                n += (s + t) * e
+            for s, t in ths:
+                n += s + t
+            if deg is None:
+                deg = n
+            elif n != deg:
+                return None
+        return 0 if deg is None else deg
 
     def weight_components(self) -> dict:
         out = {}
@@ -268,7 +280,8 @@ def mul(a: DiffPoly, b: DiffPoly) -> DiffPoly:
                 continue
             sign, ths = merged
             key = (up1 + up2, _ufactors_mul(ufs1, ufs2), ths)
-            _accumulate(acc, key, sign * c1 * c2)
+            c = c1 * c2
+            _accumulate(acc, key, c if sign > 0 else -c)
     return DiffPoly(acc)
 
 

@@ -37,12 +37,12 @@ whole block.
 
 solve_slice(d, w, a, rows) builds the columns of one slice and solves
 the slice's rows over them with linsolve.solve, which eliminates a few
-sparse rows per column and checks the rest exactly.  Only the
-generator basis of a block is kept, enumerated once, grouped by
-x-order and shared by the block's slices.  decompose_h2 is the one
-loop that solves through
-it: it groups the odd-order coordinates of var_theta(P_d) by (weight,
-x-order) and solves only the slices they reach.  On two order-6
+sparse rows per column and checks the rest exactly.  It takes the
+generator keys of the slice alone (_generator_keys builds the monomials
+of x-order a directly, without enumerating the block), and nothing is
+kept.  decompose_h2 is the one loop that solves through it: it groups
+the odd-order coordinates of var_theta(P_d) by (weight, x-order) and
+solves only the slices they reach.  On two order-6
 conjugates they reach 21 of the 78 generator slices (178 of 494
 generator columns).  The normalizer and verify_distinctness both split
 their components with decompose_h2; no lemma verifier solves.  A slice
@@ -83,11 +83,10 @@ variational directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional
 
-from .algebra import DiffPoly, Grade, _partials, enumerate_basis, mul
+from .algebra import DiffPoly, _partials, mul
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import solve
 from .rationals import QQ
@@ -320,16 +319,37 @@ def _slices(theta_part: DiffPoly) -> dict:
     return {wa: DiffPoly(terms) for wa, terms in out.items()}
 
 
-@lru_cache(maxsize=None)
-def _generator_keys(d: int, w: int) -> dict:
-    """The generator keys of the (d, w) block, Grade(d-1, 0, w+1), by x-order.
+def _generator_keys(d: int, w: int, a: int) -> tuple:
+    """The generator keys of slice a of the (d, w) block, sorted: the
+    monomials of Grade(d-1, 0, w+1) with x-order a and y-order d-1-a.
 
-    Enumerated once per block and shared by its slices.
+    Built directly as ascending multisets of u-derivative indices (s, t)
+    with s <= a and t <= d-1-a, at most w+1 factors, the rest of the
+    weight on the underived u.
     """
-    out = {}
-    for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
-        out.setdefault(_x_order(m.key), []).append(m.key)
-    return {a: tuple(keys) for a, keys in out.items()}
+    b = d - 1 - a
+    if a < 0 or b < 0:
+        return ()
+    indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t]
+    out = []
+
+    def rec(pos, xs, ys, count, ufs):
+        if not (xs or ys):
+            out.append((w + 1 - count, ufs, ()))
+            return
+        if count > w:
+            return  # degree left but no factor left
+        for i in range(pos, len(indices)):
+            s, t = indices[i]
+            if s > xs:
+                break
+            e = 1
+            while e * s <= xs and e * t <= ys and count + e <= w + 1:
+                rec(i + 1, xs - e * s, ys - e * t, count + e, ufs + (((s, t), e),))
+                e += 1
+
+    rec(0, a, b, 0, ())
+    return tuple(sorted(out))
 
 
 class BlockSolution(NamedTuple):
@@ -365,7 +385,7 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     """
     if rows.super_degree() != 1:
         raise ValueError("solve_slice expects var_theta coordinates")
-    x_keys = _generator_keys(d, w).get(a, ()) if a < d else ()
+    x_keys = _generator_keys(d, w, a)
     # unit monomials with int coefficients keep the generator columns
     # integral; their mixed derivatives share one derivative table,
     # dropped with the columns

@@ -217,6 +217,6 @@ def solve(columns, rhs):
                     taken[i] = None
                     n += 1
         pivots = system._pivots([dict(rows[i]) for i in taken], [b[i] for i in taken])
-        if pivots is None or system._satisfies(pivots, taken):
+        if pivots is None or len(taken) == len(rows) or system._satisfies(pivots, taken):
             return system._solution(pivots)
         k *= 2

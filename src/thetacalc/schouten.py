@@ -169,7 +169,7 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
             Q = schouten(X, Q)
             if Q.density.is_zero():
                 break
-            put(d + n * m, Q.scale(QQ(1, factorial(n))))
+            put(d + n * m, Q if n == 1 else Q.scale(QQ(1, factorial(n))))
     return BracketSeries(order, acc)
 
 

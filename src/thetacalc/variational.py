@@ -82,14 +82,18 @@ peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
 The Euler operators themselves run on total_derivative for every
 caller.
 
-A Functional is immutable, so it computes its standard degree and each
-of its variations on first use and keeps them, one cache per kind
-(theta_variation, u_variation): the Miura
-action brackets one operand many times.  A bracket reads only the
-variations it multiplies: var_u of a u-free operand is zero, so the
-other operand's var_theta is not computed (see schouten.schouten), and
-decompose_h2 reads var_theta alone.  The cache lives as long as its
-Functional; an operation on it returns a new one with empty caches.
+A Functional is immutable, so it computes its super and standard
+degrees and each of its variations on first use and keeps them, one
+cache per kind (theta_variation, u_variation): the Miura action brackets
+one operand many times.  A bracket reads only the variations it
+multiplies: var_u of a u-free operand is zero, so the other operand's
+var_theta is not computed (see schouten.schouten), and decompose_h2
+reads var_theta alone.  The cache lives as long as its Functional.  The
+Euler operators are linear, so scale, negation, + and - pass on the
+variations their operands have already computed, scaled, negated,
+added or subtracted: the normalizer's generator Y = -X reuses the var_u
+that the round trip computed for X.  No operation computes a variation
+its operands lack; the degrees are not passed on.
 """
 
 from __future__ import annotations
@@ -255,21 +259,30 @@ def is_total_divergence(a: DiffPoly) -> bool:
 _UNSET = object()  # a cached degree not yet computed (it may be 0 or None)
 
 
+def _carried(op, *operands):
+    """op(*operands), or None when an operand is a variation not computed."""
+    return None if any(x is None for x in operands) else op(*operands)
+
+
 class Functional:
     """An element of the quotient space, held as a chosen density.
 
-    Immutable after construction, like its density, so the standard
-    degree and each variation of the density can be cached on first
-    use: every operation returns a new Functional with empty caches.
+    Immutable after construction, like its density, so its degrees and
+    each variation of the density are cached on first use.  The
+    variations are linear, so scale, negation, + and - hand the result
+    the variations their operands have computed already (var(cF) =
+    c var(F), var(F +- G) = var(F) +- var(G)); they never compute one.
+    theta and u, when given, are var_theta and var_u of density.
     """
 
-    __slots__ = ("density", "_degree", "_theta", "_u")
+    __slots__ = ("density", "_degree", "_super", "_theta", "_u")
 
-    def __init__(self, density: DiffPoly):
+    def __init__(self, density: DiffPoly, theta=None, u=None):
         self.density = density
         self._degree = _UNSET
-        self._theta = None
-        self._u = None
+        self._super = _UNSET
+        self._theta = theta
+        self._u = u
 
     @classmethod
     def zero(cls) -> "Functional":
@@ -279,7 +292,10 @@ class Functional:
         return grade_of(self.density)
 
     def super_degree(self):
-        return self.density.super_degree()
+        """density.super_degree(), computed once."""
+        if self._super is _UNSET:
+            self._super = self.density.super_degree()
+        return self._super
 
     def standard_degree(self):
         """density.standard_degree(), computed once."""
@@ -312,16 +328,32 @@ class Functional:
         raise TypeError("functionals are not hashable (quotient equality)")
 
     def __add__(self, other: "Functional") -> "Functional":
-        return Functional(self.density + other.density)
+        return Functional(
+            self.density + other.density,
+            _carried(DiffPoly.__add__, self._theta, other._theta),
+            _carried(DiffPoly.__add__, self._u, other._u),
+        )
 
     def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(self.density - other.density)
+        return Functional(
+            self.density - other.density,
+            _carried(DiffPoly.__sub__, self._theta, other._theta),
+            _carried(DiffPoly.__sub__, self._u, other._u),
+        )
 
     def __neg__(self) -> "Functional":
-        return Functional(-self.density)
+        return Functional(
+            -self.density,
+            _carried(DiffPoly.__neg__, self._theta),
+            _carried(DiffPoly.__neg__, self._u),
+        )
 
     def scale(self, c) -> "Functional":
-        return Functional(self.density.scale(c))
+        return Functional(
+            self.density.scale(c),
+            _carried(DiffPoly.scale, self._theta, c),
+            _carried(DiffPoly.scale, self._u, c),
+        )
 
     def __repr__(self):
         from .printer import format_poly

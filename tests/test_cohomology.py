@@ -369,7 +369,7 @@ def test_block_operator_matches_direct_solve():
         for w in range(4):
             basis, has_c, quot, cols = _reference_block(d, w)
             # the slices partition the generators
-            keys = [k for a in range(d) for k in cohomology._generator_keys(d, w).get(a, ())]
+            keys = [k for a in range(d) for k in cohomology._generator_keys(d, w, a)]
             assert sorted(keys) == sorted(next(iter(m.terms)) for m in basis)
             # the densities whose var_theta are the columns
             densities = [delta(mul(m, th(0, 0))) for m in basis]
@@ -392,6 +392,19 @@ def test_block_operator_matches_direct_solve():
     for a in (7, 17):
         # no slice holds the row, whether or not the slice has columns
         assert solve_slice(7, 0, a, var_theta(foreign)) is None
+
+
+def test_generator_keys_are_the_x_order_slices_of_the_basis():
+    # slice a's keys, built directly, are the x-order-a keys of the
+    # whole generator basis in its sorted order; empty slices give ()
+    for d in range(1, 14):
+        for w in range(5):
+            basis = [m.key for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
+            for a in range(-1, d + 2):
+                want = tuple(k for k in basis if _x_order(k) == a)
+                assert cohomology._generator_keys(d, w, a) == want, (d, w, a)
+                if a < 0 or a >= d:
+                    assert want == ()
 
 
 def test_block_slices_follow_the_x_order_grading():

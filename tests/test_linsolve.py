@@ -95,7 +95,10 @@ def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypat
     second_round, refused = set(), set()
     for d in range(1, 9):
         for w in range(4):
-            for a, keys in _generator_keys(d, w).items():
+            for a in range(d):
+                keys = _generator_keys(d, w, a)
+                if not keys:
+                    continue
                 table = _DerivativeTable()
                 cols = [_ad_p1_column(DiffPoly({k: 1}), table) for k in keys]
                 rhs = DiffPoly.zero()

@@ -373,7 +373,8 @@ def test_functional_equality_is_divergence_aware():
     ids=["zero", "homogeneous", "mixed", "degree-zero"],
 )
 def test_functional_caches_the_standard_degree(density):
-    # 0 for zero, None for mixed degrees: neither may read as "not cached"
+    # 0 for zero, None for mixed degrees: neither may read as "not cached";
+    # the super degree is cached the same way
     class Counting(DiffPoly):
         __slots__ = ("calls",)
 
@@ -381,12 +382,17 @@ def test_functional_caches_the_standard_degree(density):
             self.calls += 1
             return super().standard_degree()
 
+        def super_degree(self):
+            self.calls += 1
+            return super().super_degree()
+
     counting = Counting(density.terms)
     counting.calls = 0
     F = Functional(counting)
-    assert F.standard_degree() == density.standard_degree()
-    assert F.standard_degree() == density.standard_degree()
-    assert counting.calls == 1
+    for _ in range(2):
+        assert F.standard_degree() == density.standard_degree()
+        assert F.super_degree() == density.super_degree()
+    assert counting.calls == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,6 +406,7 @@ def test_functional_variations_are_the_euler_operators(f):
 def test_functional_computes_its_variations_once(monkeypatch):
     from thetacalc import variational
 
+    direct = {"var_theta": var_theta, "var_u": var_u}
     calls = []
     for name in ("var_theta", "var_u"):
         op = getattr(variational, name)
@@ -411,12 +418,54 @@ def test_functional_computes_its_variations_once(monkeypatch):
     assert sorted(calls) == ["var_theta", "var_u"]
     assert F.theta_variation() is theta and F.u_variation() is u_part
     assert len(calls) == 2
-    # scale and + return new Functionals, each with its own variations
-    for G, factor in ((F.scale(3), 3), (F + F, 2)):
-        assert G.theta_variation() == theta.scale(factor)
-        assert G.u_variation() == u_part.scale(factor)
+    # scale, + and - return new Functionals that carry the variations on
+    # by linearity, equal to the direct ones, with no new Euler call
+    for G in (F.scale(3), F + F, -F, F - F.scale(QQ(1, 2))):
+        assert G.theta_variation() == direct["var_theta"](G.density)
+        assert G.u_variation() == direct["var_u"](G.density)
         assert F.theta_variation() is theta and F.u_variation() is u_part
-    assert len(calls) == 6
+    assert len(calls) == 2
+
+
+def _random_functional(rng):
+    """A Functional of random_element's monomials with int and rational
+    coefficients mixed, holding var_theta, var_u, both or neither."""
+    terms = {}
+    for _ in range(3):
+        for key in random_element(rng).terms:
+            integer = rng.randint(-3, 3) or 1
+            terms[key] = rng.choice((integer, QQ(rng.randint(-5, 5) or 1, rng.randint(2, 4))))
+    F = Functional(DiffPoly(terms))
+    which = rng.randrange(4)
+    if which & 1:
+        F.theta_variation()
+    if which & 2:
+        F.u_variation()
+    return F
+
+
+def test_linear_operations_carry_exact_variations():
+    # a carried variation must be the variation of the result's own
+    # density; an operand that lacks one makes the result lack it too
+    import random
+
+    rng = random.Random(29)
+    for _ in range(60):
+        F, G = _random_functional(rng), _random_functional(rng)
+        c = rng.choice((0, 2, -1, QQ(-3, 2), QQ(5, 7)))
+        results = [(F + G, (F, G)), (F - G, (F, G)), (-F, (F,)), (F.scale(c), (F,)), (F - F, (F,))]
+        for H, operands in results:
+            for slot, var in (("_theta", var_theta), ("_u", var_u)):
+                carried = getattr(H, slot)
+                if any(getattr(op, slot) is None for op in operands):
+                    assert carried is None
+                else:
+                    assert carried == var(H.density)
+            if H.density.is_zero():
+                assert H.super_degree() == H.standard_degree() == 0
+    zero = F - F
+    assert zero.super_degree() == zero.standard_degree() == 0
+    assert F.scale(0).super_degree() == F.scale(0).standard_degree() == 0
 
 
 def test_functionals_not_hashable():
