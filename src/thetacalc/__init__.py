@@ -18,7 +18,6 @@ from .cohomology import (
     bockstein_split,
     decompose_h2,
     delta,
-    reduce_mod_dx,
     theta_quotient_basis,
     verify_nontriv_lemma,
     verify_square_lemma,

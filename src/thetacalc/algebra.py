@@ -237,12 +237,6 @@ class DiffPoly:
                 return None
         return 0 if deg is None else deg
 
-    def weight_components(self) -> dict:
-        out = {}
-        for key, c in self._terms.items():
-            out.setdefault(_key_grade(key).w, {})[key] = c
-        return {w: DiffPoly(t) for w, t in sorted(out.items())}
-
     def is_u_free(self) -> bool:
         return all(upow == 0 and not ufs for (upow, ufs, _) in self._terms)
 

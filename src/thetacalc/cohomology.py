@@ -6,9 +6,8 @@ functionals it agrees with the adjoint action of the standard leading
 bivector (asserted in the suite).  The splitting map B sends a
 constant-coefficient polynomial in the x-derivative thetas to a density
 linear in u, commutes with dx, and satisfies delta o B = dy.  Both are
-sums over the partial derivatives of algebra._partials, and
-reduce_mod_dx works in DiffPoly arithmetic; only the hot column builder
-_ad_p1_column still builds monomial keys itself.
+sums over the partial derivatives of algebra._partials; only the hot
+column builder _ad_p1_column still builds monomial keys itself.
 
 The solver decompose_h2 writes an adjoint-closed bivector component as
 
@@ -82,7 +81,6 @@ variational directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -145,14 +143,6 @@ def bockstein_split(t: DiffPoly) -> DiffPoly:
 # -- the constant-theta ring --------------------------------------------
 
 
-def is_theta_poly(a: DiffPoly) -> bool:
-    """True when a lives in the ring generated by th^(k,0) alone."""
-    for upow, ufs, ths in a.terms:
-        if upow or ufs or any(t != 0 for _, t in ths):
-            return False
-    return True
-
-
 def theta_monomial(indices) -> DiffPoly:
     """Monomial th^(k1,0) ... th^(kp,0) from strictly descending k's."""
     ks = tuple(indices)
@@ -200,47 +190,6 @@ def theta_quotient_basis(p: int, d: int) -> list:
             out.append(theta_monomial((i2 + 1, i2) + tail))
     out.sort(key=lambda m: next(iter(m.terms)), reverse=True)
     return out
-
-
-def _theta_key(key):
-    """Lexicographic sort key of a constant-theta monomial."""
-    return tuple(s for s, _ in key[2])
-
-
-def reduce_mod_dx(t: DiffPoly) -> DiffPoly:
-    """Canonical representative modulo the image of dx.
-
-    Standard monomials whose leading index exceeds the second by at
-    least two (or any derived theta at super degree one) are tops of
-    dx-images; they are eliminated by a descending lexicographic sweep,
-    leaving a combination of quotient-basis monomials.
-    """
-    if not is_theta_poly(t):
-        raise ValueError("reduce_mod_dx expects a constant-theta element")
-    cur = t
-
-    def top_preimage(ths):
-        ks = tuple(s for s, _ in ths)
-        if len(ks) == 1:
-            if ks[0] >= 1:
-                return (ks[0] - 1,)
-        elif len(ks) >= 2 and ks[0] >= ks[1] + 2:
-            return (ks[0] - 1,) + ks[1:]
-        return None
-
-    while True:
-        best = None
-        for key in cur.terms:
-            pre = top_preimage(key[2])
-            if pre is None:
-                continue
-            lex = _theta_key(key)
-            if best is None or lex > best[0]:
-                best = (lex, key, pre)
-        if best is None:
-            return cur
-        _, key, pre = best
-        cur = cur - theta_monomial(pre).dx().scale(cur.terms[key])
 
 
 # -- evolutionary vector fields and the coboundary columns ---------------
@@ -408,8 +357,7 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     return BlockSolution(x, c, chi)
 
 
-@dataclass
-class H2Decomposition:
+class H2Decomposition(NamedTuple):
     """Exact decomposition of an adjoint-closed bivector component."""
 
     degree: int

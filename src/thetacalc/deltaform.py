@@ -13,24 +13,27 @@ functional, and for a skew input form it is that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import DiffPoly, _partials, mul
 from .errors import DegreeMismatch
 from .schouten import BracketSeries
 from .variational import Functional, var_theta
 
 
-@dataclass
 class DeltaForm:
     """Operator-form coefficients keyed by (k, k1, k2)."""
 
-    coefficients: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        given, self.coefficients = self.coefficients, {}
-        for key, poly in given.items():
+    def __init__(self, coefficients: dict | None = None):
+        self.coefficients = {}
+        for key, poly in (coefficients or {}).items():
             self.set_coefficient(*key, poly)
+
+    def __repr__(self) -> str:
+        return f"DeltaForm(coefficients={self.coefficients!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeltaForm):
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     def set_coefficient(self, k: int, k1: int, k2: int, poly: DiffPoly) -> None:
         """Store poly at A[k; k1,k2] (a zero poly is dropped).

@@ -11,7 +11,7 @@ generators in order reproduces the normalized series by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import DiffPoly, Grade
 from .cohomology import decompose_h2
@@ -36,8 +36,7 @@ from .schouten import (
 from .variational import Functional
 
 
-@dataclass
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     order: int
     invariants: list  # [(k, c_k)] with 2k+1 <= order+1
     generators: list  # applied vector fields, ascending degree

@@ -21,7 +21,7 @@ position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import DiffPoly
 from .deltaform import DeltaForm, delta_to_theta
@@ -30,8 +30,7 @@ from .schouten import BracketSeries
 from .variational import Functional
 
 
-@dataclass
-class BracketSpecFile:
+class BracketSpecFile(NamedTuple):
     order: int
     kind: str  # 'delta' or 'theta'
     delta: DeltaForm | None = None
@@ -55,8 +54,7 @@ _PUNCT = set("={}[]();,^*+-/")
 _DIGITS = set("0123456789")
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int', 'name', a punctuation char, or 'eof'
     value: object
     line: int

@@ -14,7 +14,6 @@ package and is asserted exhaustively in the suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 from .algebra import DiffPoly, mul
@@ -69,7 +68,6 @@ def schouten(P: Functional, Q: Functional) -> Functional:
     return Functional(first - second if p % 2 else first + second)
 
 
-@dataclass
 class BracketSeries:
     """Bivector series truncated at a given order.
 
@@ -78,17 +76,15 @@ class BracketSeries:
     all have super degree two.
     """
 
-    order: int
-    components: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, order: int, components: dict | None = None):
+        self.order = order
         clean = {}
-        for d, F in self.components.items():
+        for d, F in (components or {}).items():
             if not isinstance(F, Functional):
                 F = Functional(F)
             if F.density.is_zero():
                 continue
-            if not (1 <= d <= self.order + 1):
+            if not (1 <= d <= order + 1):
                 raise ValueError(f"component degree {d} outside truncation")
             sd = F.super_degree()
             if sd != 2:
@@ -101,6 +97,9 @@ class BracketSeries:
                 )
             clean[d] = F
         self.components = clean
+
+    def __repr__(self) -> str:
+        return f"BracketSeries(order={self.order!r}, components={self.components!r})"
 
     def component(self, d: int) -> Functional:
         return self.components.get(d, Functional.zero())

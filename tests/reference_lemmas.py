@@ -23,16 +23,66 @@ is solved over those columns.
 
 theta_basis lists the standard monomials of the constant-theta ring;
 the verifiers no longer enumerate them, the tests and these references
-do.
+do.  reduce_mod_dx is the canonical reduction of that ring modulo the
+image of dx; the tests use it as the square lemma's oracle.
 """
 
 from reference_elimination import reference_pivot_columns
 
 from thetacalc.algebra import DiffPoly, mul
-from thetacalc.cohomology import _descending_tuples, _theta_key, theta_monomial
+from thetacalc.cohomology import _descending_tuples, theta_monomial
 from thetacalc.linsolve import solve
 from thetacalc.rationals import QQ
 from thetacalc.variational import var_theta
+
+
+def is_theta_poly(a):
+    """True when a lives in the ring generated by th^(k,0) alone."""
+    for upow, ufs, ths in a.terms:
+        if upow or ufs or any(t != 0 for _, t in ths):
+            return False
+    return True
+
+
+def _theta_key(key):
+    """Lexicographic sort key of a constant-theta monomial."""
+    return tuple(s for s, _ in key[2])
+
+
+def reduce_mod_dx(t):
+    """Canonical representative modulo the image of dx.
+
+    Standard monomials whose leading index exceeds the second by at
+    least two (or any derived theta at super degree one) are tops of
+    dx-images; they are eliminated by a descending lexicographic sweep,
+    leaving a combination of quotient-basis monomials.
+    """
+    if not is_theta_poly(t):
+        raise ValueError("reduce_mod_dx expects a constant-theta element")
+    cur = t
+
+    def top_preimage(ths):
+        ks = tuple(s for s, _ in ths)
+        if len(ks) == 1:
+            if ks[0] >= 1:
+                return (ks[0] - 1,)
+        elif len(ks) >= 2 and ks[0] >= ks[1] + 2:
+            return (ks[0] - 1,) + ks[1:]
+        return None
+
+    while True:
+        best = None
+        for key in cur.terms:
+            pre = top_preimage(key[2])
+            if pre is None:
+                continue
+            lex = _theta_key(key)
+            if best is None or lex > best[0]:
+                best = (lex, key, pre)
+        if best is None:
+            return cur
+        _, key, pre = best
+        cur = cur - theta_monomial(pre).dx().scale(cur.terms[key])
 
 
 def theta_basis(p, d):

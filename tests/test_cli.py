@@ -459,6 +459,27 @@ def test_console_entry_point_subprocess():
     assert payload["invariants"] == [{"k": 1, "c": "0"}]
 
 
+def test_cli_run_imports_no_dataclasses_or_inspect():
+    # every process pays for what the package imports; -S keeps site's
+    # own imports out of the count
+    child = (
+        "import json, sys\n"
+        "from thetacalc.cli import run_cli\n"
+        "code = run_cli(['normalize', sys.argv[1], '--order', '9', '--format', 'json'])\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child, str(DATA / "example_eg.pb")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["jacobi"] == "ok"
+    assert json.loads(proc.stderr.splitlines()[-1]) == []
+
+
 def test_generators_parse_back(capsys):
     # emitted generator densities are valid DSL expressions
     code, payload = run_json(

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from reference_elimination import reference_pivot_columns, reference_rank, reference_solve
 from reference_euler import reference_ad_p1_column, reference_bockstein_split, reference_delta
 from reference_lemmas import (
+    is_theta_poly,
+    reduce_mod_dx,
     reference_chain_feasible,
     reference_split_leaks,
     reference_varder_solvable,
@@ -14,15 +16,13 @@ from reference_lemmas import (
 from reference_nontriv import reference_nontriv
 
 from thetacalc import cohomology
-from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul, total_derivative
+from thetacalc.algebra import DiffPoly, Grade, _key_grade, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
     _ad_p1_column,
     bockstein_split,
     decompose_h2,
     delta,
     evolutionary_field,
-    is_theta_poly,
-    reduce_mod_dx,
     solve_slice,
     theta_monomial,
     theta_quotient_basis,
@@ -283,7 +283,11 @@ def test_decompose_unique_against_pivot_order():
     chi = theta_monomial((3, 2, 0))
     P = pst(5, 0).scale(QQ(7, 3)) + Functional(bockstein_split(chi).scale(-2)) + pst(4, 1)
     d = 5
-    for w, block in P.density.weight_components().items():
+    by_weight = {}
+    for key, c in P.density.terms.items():
+        by_weight.setdefault(_key_grade(key).w, {})[key] = c
+    for w, terms in sorted(by_weight.items()):
+        block = DiffPoly(terms)
         cols = []
         tags = []
         gens = [m.as_poly() for m in enumerate_basis(Grade(d - 1, 0, w + 1))]

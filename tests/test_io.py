@@ -242,6 +242,18 @@ def test_bracket_file_roundtrip(spec):
     text = format_bracket_file(spec)
     assert parse(text) == spec
     assert format_bracket_file(parse(text)) == text
+    # equality must see every field: another order, or one coefficient
+    # of the operator form changed, is another spec
+    assert parse(text) != BracketSpecFile(spec.order + 1, spec.kind, spec.delta, spec.densities)
+    D = spec.delta if spec.kind == "delta" else theta_to_delta(spec.to_series())
+    if D.coefficients:
+        key, A = next(iter(D.coefficients.items()))
+        changed = DeltaForm({**D.coefficients, key: A.scale(2)})
+        assert changed != D
+        if spec.kind == "delta":
+            assert parse(text) != BracketSpecFile(spec.order, "delta", delta=changed)
+    assert repr(D).startswith("DeltaForm(coefficients={")
+    assert repr(spec.to_series()).startswith(f"BracketSeries(order={spec.order}, components={{")
 
 
 def test_format_zero():
