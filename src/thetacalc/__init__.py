@@ -10,7 +10,6 @@ from .algebra import (
     enumerate_basis,
     grade_of,
     mul,
-    partial_derivative,
     total_derivative,
 )
 from .cohomology import (

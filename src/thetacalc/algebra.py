@@ -399,17 +399,6 @@ def _partials(terms: dict, kind: str) -> dict:
     return by_s
 
 
-def partial_derivative(a: DiffPoly, kind: str, s: int, t: int) -> DiffPoly:
-    """Partial derivative in one variable.
-
-    kind 'u' is the ordinary partial (with (s,t) == (0,0) meaning the
-    coefficient derivative d/du); kind 'theta' is the left derivative:
-    the theta factor is moved to the front with its Koszul sign, then
-    removed.
-    """
-    return _partials(a.terms, kind).get(s, {}).get(t, DiffPoly.zero())
-
-
 def grade_of(a: DiffPoly) -> Optional[Grade]:
     """Common grade of all terms, or None for an inhomogeneous element.
 

@@ -14,8 +14,6 @@ package and is asserted exhaustively in the suite.
 
 from __future__ import annotations
 
-from math import factorial
-
 from .algebra import DiffPoly, mul
 from .errors import SuperDegreeError
 from .rationals import QQ
@@ -54,17 +52,27 @@ def schouten(P: Functional, Q: Functional) -> Functional:
     The bracket is var_theta(P) var_u(Q) + (-1)^p var_u(P) var_theta(Q),
     and it reads only the variations of the products it needs, which
     each Functional computes once: an operand with no u dependence has
-    var_u = 0, so its product is skipped and the other operand's
-    var_theta is not computed; the bracket of two such operands is zero.
+    var_u = 0, so its product is skipped, the other product is returned
+    as it is, and the other operand's var_theta is not computed.  For p
+    odd and q even, var_u(P) and var_theta(Q) are both odd, so
+    -var_u(P) var_theta(Q) is exactly var_theta(Q) var_u(P): the sign
+    is folded into the factor order instead of negating a product.
     """
     p = _super_degree(P)
-    _super_degree(Q)
+    q = _super_degree(Q)
     P_free = P.density.is_u_free()
     Q_free = Q.density.is_u_free()
     if P_free and Q_free:
         return Functional.zero()
-    first = DiffPoly.zero() if Q_free else mul(P.theta_variation(), Q.u_variation())
-    second = DiffPoly.zero() if P_free else mul(P.u_variation(), Q.theta_variation())
+    first = None if Q_free else mul(P.theta_variation(), Q.u_variation())
+    if P_free:
+        return Functional(first)
+    if p % 2 and not q % 2:
+        second = mul(Q.theta_variation(), P.u_variation())
+        return Functional(second if first is None else first + second)
+    second = mul(P.u_variation(), Q.theta_variation())
+    if first is None:
+        return Functional(-second if p % 2 else second)
     return Functional(first - second if p % 2 else first + second)
 
 
@@ -137,6 +145,13 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
     X must be homogeneous of super degree one and standard degree >= 1;
     each application raises the degree by deg X, so the series is finite
     on every component.
+
+    The n-th term ad_X^n F / n! of a chain is [X/n, its (n-1)-th term],
+    stored and bracketed on as it is.  X/n is built once per step, after
+    X has cached the variations the step reads.  Each degree's terms are
+    summed, in the order of P's components, after every chain has run,
+    so a component whose terms were all chained carries their
+    variations into the next step.
     """
     if order is None:
         order = P.order
@@ -149,26 +164,27 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
         raise SuperDegreeError("Miura generator must be degree-homogeneous")
     if m < 1:
         raise ValueError("Miura generator must have standard degree >= 1")
+    top = order + 1
+    chains = [(i, d, F) for i, (d, F) in enumerate(P.components.items()) if d <= top]
+    # terms[D][i]: the degree-D term of the chain from P's i-th component
+    terms = {d: {i: F} for i, d, F in chains}
+    n = 0
+    while chains := [(i, d + m, Q) for i, d, Q in chains if d + m <= top]:
+        n += 1
+        if any(not Q.density.is_u_free() for _, _, Q in chains):
+            X.theta_variation()  # cached before X/n copies it
+        Xn = X.scale(QQ(1, n)) if n > 1 else X
+        live = []
+        for i, d, Q in chains:
+            Q = schouten(Xn, Q)
+            if not Q.density.is_zero():
+                terms.setdefault(d, {})[i] = Q
+                live.append((i, d, Q))
+        chains = live
     acc = {}
-
-    def put(d, F):
-        if d in acc:
-            acc[d] = acc[d] + F
-        else:
-            acc[d] = F
-
-    for d, F in P.components.items():
-        if d > order + 1:
-            continue
-        put(d, F)
-        Q = F
-        n = 0
-        while d + (n + 1) * m <= order + 1:
-            n += 1
-            Q = schouten(X, Q)
-            if Q.density.is_zero():
-                break
-            put(d + n * m, Q if n == 1 else Q.scale(QQ(1, factorial(n))))
+    for d, by_source in terms.items():
+        first, *rest = (by_source[i] for i in sorted(by_source))
+        acc[d] = sum(rest, first)
     return BracketSeries(order, acc)
 
 

@@ -8,10 +8,10 @@ from thetacalc.algebra import (
     DiffPoly,
     Grade,
     _derivative_multisets,
+    _partials,
     enumerate_basis,
     grade_of,
     mul,
-    partial_derivative,
     total_derivative,
 )
 from thetacalc.rationals import QQ
@@ -138,6 +138,12 @@ def test_bad_axis_rejected():
 
 
 # -- partial derivatives -------------------------------------------------
+
+
+def partial_derivative(a, kind, s, t):
+    """d a / d<kind>^(s,t) from the one partials kernel; kind 'u' takes
+    (0,0) as d/du, kind 'theta' is the left derivative."""
+    return _partials(a.terms, kind).get(s, {}).get(t, DiffPoly.zero())
 
 
 def test_bad_kind_rejected():

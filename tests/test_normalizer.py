@@ -353,6 +353,71 @@ def test_larger_conjugate_generators_are_pinned(order, md5):
     assert hashlib.md5(text.encode()).hexdigest() == md5
 
 
+def test_pushed_components_carry_their_own_variations(monkeypatch):
+    # the criterion-7 recipe at order 7: after each push, a component that
+    # carries a variation carries var_theta or var_u of its own density,
+    # and the components whose terms were all bracketed on carry them;
+    # no scaled generator X/n computes a variation, it takes X's
+    from thetacalc import variational
+    from thetacalc.variational import var_theta, var_u
+
+    derived = []
+    for name in ("var_theta", "var_u"):
+        op = getattr(variational, name)
+        monkeypatch.setattr(variational, name, lambda f, op=op: derived.append(f) or op(f))
+    rng = random.Random(20240)
+    order = 7
+    cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) or QQ(1) for _ in range(order // 2)]
+    P = build_normal_form(cs, order)
+    carried = {"theta": 0, "u": 0}
+    for degree in (1, 2, 3):
+        X = random_generator(rng, degree)
+        derived.clear()
+        P = miura_apply(X, P, order)
+        scaled = [X.density.scale(QQ(1, n)) for n in range(2, order + 1)]
+        assert not any(f == g for f in derived for g in scaled)
+        assert X._theta is not None and X._u is not None
+        for F in P.components.values():
+            if F._theta is not None:
+                assert F._theta == var_theta(F.density)
+                carried["theta"] += 1
+            if F._u is not None:
+                assert F._u == var_u(F.density)
+                carried["u"] += 1
+    assert min(carried.values()) > 0, carried
+
+
+def test_example_push_keeps_the_variations_of_its_terms(monkeypatch):
+    # the worked example at order 51, as the CLI normalizes it: the push
+    # brackets and multiplies as often as the rescaled-copy push did, but
+    # its terms keep their variations, so var_theta runs 542 times, not
+    # 675, and each X/n takes var_u from X
+    import importlib
+    import sys
+    from pathlib import Path
+
+    from thetacalc.parser import parse
+
+    # a fresh p1, as in a new process: the shared one keeps its variations
+    monkeypatch.setattr(importlib.import_module("thetacalc.schouten"), "_P1", pst(0, 1))
+    counts = {"var_theta": 0, "var_u": 0, "schouten": 0, "mul": 0}
+    calls = ("var_theta", "var_u", "schouten", "mul")
+    for module, name in zip(("variational", "variational", "schouten", "algebra"), calls):
+        op = getattr(importlib.import_module(f"thetacalc.{module}"), name)
+
+        def counted(*args, op=op, name=name):
+            counts[name] += 1
+            return op(*args)
+
+        # every module that imported the function holds the same object
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("thetacalc.") and getattr(mod, name, None) is op:
+                monkeypatch.setattr(mod, name, counted)
+    text = (Path(__file__).parent / "data" / "example_eg.pb").read_text(encoding="utf-8")
+    normalize(parse(text).to_series().truncate(51))
+    assert counts == {"var_theta": 542, "var_u": 25, "schouten": 766, "mul": 998}
+
+
 # -- the checks on the failure path ------------------------------------------
 
 

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetacalc.algebra import DiffPoly, Grade, enumerate_basis
+from thetacalc.algebra import DiffPoly, Grade, enumerate_basis, mul
 from thetacalc.cohomology import delta
 from thetacalc.errors import SuperDegreeError
+from thetacalc.normalizer import build_normal_form
 from thetacalc.rationals import QQ
 from thetacalc.schouten import (
     BracketSeries,
@@ -13,7 +16,7 @@ from thetacalc.schouten import (
     schouten,
     standard_leading_term,
 )
-from thetacalc.variational import Functional
+from thetacalc.variational import Functional, var_theta, var_u
 
 u = DiffPoly.u
 th = DiffPoly.theta
@@ -275,3 +278,91 @@ def test_miura_requires_positive_degree():
     X = Functional(u() * th(0, 0))  # degree 0
     with pytest.raises(ValueError):
         miura_apply(X, _pb_example(), 7)
+
+
+# -- the folded sign and the scaled-generator push -------------------------
+
+
+def _seeded_functional(rng, d, p, w, terms):
+    """A sum of terms random monomials of grade (d, p, w)."""
+    basis = enumerate_basis(Grade(d, p, w))
+    out = DiffPoly.zero()
+    for _ in range(terms):
+        c = QQ(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice((1, -1))
+        out = out + rng.choice(basis).as_poly().scale(c)
+    return Functional(out)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_bracket_density_is_the_textbook_formula(p, q):
+    # every parity pair, each operand u-free (weight 0) or not: the folded
+    # sign gives var_theta(P) var_u(Q) + (-1)^p var_u(P) var_theta(Q)
+    # term for term
+    rng = random.Random(10 * p + q)
+    nonzero = 0
+    for _ in range(6):
+        for P_free in (True, False):
+            for Q_free in (True, False):
+                wP = 0 if P_free else rng.randint(1, 2)
+                wQ = 0 if Q_free else rng.randint(1, 2)
+                P = _seeded_functional(rng, rng.randint(2, 4), p, wP, 3)
+                Q = _seeded_functional(rng, rng.randint(2, 4), q, wQ, 3)
+                want = mul(var_theta(P.density), var_u(Q.density)) + mul(
+                    var_u(P.density), var_theta(Q.density)
+                ).scale((-1) ** p)
+                assert schouten(P, Q).density == want
+                nonzero += not (P_free or want.is_zero())
+    assert nonzero >= 6
+
+
+def _chain_length(X, F, limit):
+    """How many of the first limit brackets ad_X^n F are nonzero."""
+    from reference_normalize import reference_schouten
+
+    n = 0
+    while n < limit:
+        F = reference_schouten(X, F)
+        if F.density.is_zero():
+            break
+        n += 1
+    return n
+
+
+def test_miura_push_matches_the_rescaled_copy_reference():
+    # three pushes from a normal form, at orders 4-9, by generators of
+    # degree 1-3 and weight 1-3: the second and third push act on
+    # conjugates.  Some pushes truncate below the series' order (its top
+    # components are dropped), and the zero generator is one of them.
+    # Densities must agree term for term, not only in the quotient.
+    from reference_miura import reference_miura_apply
+
+    rng = random.Random(27)
+    seen = {"long chain": 0, "above truncation": 0, "zero": 0}
+    for case in range(30):
+        order = rng.randint(4, 9)
+        cs = [QQ(rng.randint(-3, 3), rng.randint(1, 2)) or QQ(1) for _ in range(order // 2)]
+        P = build_normal_form(cs, order)
+        for step in range(3):
+            degree = rng.randint(1, 3)
+            X = _seeded_functional(rng, degree, 1, rng.randint(1, 3), rng.randint(1, 3))
+            if case % 10 == 0 and step == 1:
+                X = Functional.zero()
+            cut = order if rng.random() < 0.7 else rng.randint(2, order - 1)
+            got = miura_apply(X, P, cut)
+            want = reference_miura_apply(X, P, cut)
+            assert got.order == want.order == cut
+            assert {d: F.density for d, F in got.components.items()} == {
+                d: F.density for d, F in want.components.items()
+            }
+            seen["zero"] += X.density.is_zero()
+            seen["above truncation"] += any(d > cut + 1 for d in P.components)
+            if degree == 1 and not X.density.is_zero():
+                seen["long chain"] += any(
+                    _chain_length(X, F, 3) == 3
+                    for d, F in P.components.items()
+                    if d + 3 <= cut + 1
+                )
+            if cut == order:
+                P = got
+    assert min(seen.values()) >= 3, seen
