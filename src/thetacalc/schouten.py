@@ -57,23 +57,35 @@ def schouten(P: Functional, Q: Functional) -> Functional:
     odd and q even, var_u(P) and var_theta(Q) are both odd, so
     -var_u(P) var_theta(Q) is exactly var_theta(Q) var_u(P): the sign
     is folded into the factor order instead of negating a product.
+    Homogeneous operands give every term of both products p+q-1 thetas
+    and deg P + deg Q derivatives (the Euler operators keep the standard
+    degree), so a nonzero bracket is stamped with that grade, its degree
+    only when both operand degrees are cached.
     """
     p = _super_degree(P)
     q = _super_degree(Q)
-    P_free = P.density.is_u_free()
-    Q_free = Q.density.is_u_free()
+    P_free = P.is_u_free()
+    Q_free = Q.is_u_free()
     if P_free and Q_free:
         return Functional.zero()
     first = None if Q_free else mul(P.theta_variation(), Q.u_variation())
     if P_free:
-        return Functional(first)
-    if p % 2 and not q % 2:
+        out = first
+    elif p % 2 and not q % 2:
         second = mul(Q.theta_variation(), P.u_variation())
-        return Functional(second if first is None else first + second)
-    second = mul(P.u_variation(), Q.theta_variation())
-    if first is None:
-        return Functional(-second if p % 2 else second)
-    return Functional(first - second if p % 2 else first + second)
+        out = second if first is None else first + second
+    else:
+        second = mul(P.u_variation(), Q.theta_variation())
+        if first is None:
+            out = -second if p % 2 else second
+        else:
+            out = first - second if p % 2 else first + second
+    R = Functional(out)
+    if out.terms:
+        R._super = p + q - 1
+        if type(P._degree) is int and type(Q._degree) is int:
+            R._degree = P._degree + Q._degree
+    return R
 
 
 class BracketSeries:
@@ -171,7 +183,7 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
     n = 0
     while chains := [(i, d + m, Q) for i, d, Q in chains if d + m <= top]:
         n += 1
-        if any(not Q.density.is_u_free() for _, _, Q in chains):
+        if any(not Q.is_u_free() for _, _, Q in chains):
             X.theta_variation()  # cached before X/n copies it
         Xn = X.scale(QQ(1, n)) if n > 1 else X
         live = []

@@ -55,20 +55,27 @@ output coefficient is divided by L.  Int input runs on ints anyway, and
 mixed int/rational input is not lifted, so that an output coefficient
 fed only by int terms stays an int.
 
-The theta operator has a closed form on the u-free bivector terms
-c th^a th^b (no u power, no u-factors, two thetas, a above b in the
-canonical order), the terms of every normal form.  Their left partials
-are c th^b and -c th^a, and D only raises the one remaining theta index,
-so the term contributes c ((-1)^|a| - (-1)^|b|) th^(a+b), with |a| = s+t
-for a = (s,t): zero when |a| and |b| have the same parity, 2c th^(a+b)
-when |a| is even and |b| odd, -2c th^(a+b) when |a| is odd and |b| even.
-These contributions are added directly, after the lift; only the other
-terms go through the sweeps.  A sweep output keeps the u-weight and
-lowers the theta count of its term by one, so a key of weight 0 with
-one theta comes only from a u-free bivector term, and the two parts
-never share a key.  Mixed int/rational input takes the sweeps for every
-term: where terms cancel on one key, the type of what is left depends
-on the order of the additions, and the sweeps keep that order.
+Both operators have a closed form on the terms of a constant-coefficient
+bracket and of its Miura generators.  A u-free bivector term c th^a th^b
+(a above b in the canonical order) has left partials c th^b and -c th^a,
+and D only raises the one remaining theta index, so var_theta gets
+c ((-1)^|a| - (-1)^|b|) th^(a+b), with |a| = s+t for a = (s,t): zero
+when |a| and |b| have the same parity, else 2c th^(a+b) with the sign
+of (-1)^|a|.  A linear term c u^(s,t) th^b (u-weight one, u^(0,0)
+included, one theta) has the one partial c th^b, so var_u gets
+(-1)^(s+t) c th^(b+(s,t)).  The pass that splits these off adds them
+directly; only the other terms are swept.  A sweep output keeps the
+u-weight and theta count of its term, less one theta (var_theta) or one
+u (var_u), so a key of weight 0 with one theta comes only from a
+closed-form term, and the two parts never share a key.  A density of
+one or two terms takes the closed forms on its coefficients as given:
+an lcm, a lift and a division back cost more than they save there.  A
+longer all-rational density is lifted first, as its closed-form terms
+meet on few keys and sum faster as ints.  Mixed int/rational input
+sweeps every term: where terms cancel on one key, the type of what is
+left depends on the order of the additions, and the sweeps keep that
+order.  A Functional whose super degree is known and is not that of
+the closed-form terms (two, one) is not scanned for them.
 
 _DerivativeTable serves the direct expansion of the coboundary columns
 (see cohomology): it derives each (axis, monomial) once, by
@@ -82,18 +89,20 @@ peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
 The Euler operators themselves run on total_derivative for every
 caller.
 
-A Functional is immutable, so it computes its super and standard
-degrees and each of its variations on first use and keeps them, one
-cache per kind (theta_variation, u_variation): the Miura action brackets
-one operand many times.  A bracket reads only the variations it
-multiplies: var_u of a u-free operand is zero, so the other operand's
-var_theta is not computed (see schouten.schouten), and decompose_h2
-reads var_theta alone.  The cache lives as long as its Functional.  The
-Euler operators are linear, so scale, negation, + and - pass on the
-variations their operands have already computed, scaled, negated,
-added or subtracted: the normalizer's generator Y = -X reuses the var_u
-that the round trip computed for X.  No operation computes a variation
-its operands lack; the degrees are not passed on.
+A Functional is immutable, so it computes its degrees, its u-freeness
+and each of its variations on first use and keeps them, one cache per
+kind (theta_variation, u_variation): the Miura action brackets one
+operand many times.  A bracket reads only the variations it multiplies:
+var_u of a u-free operand is zero, so the other operand's var_theta is
+not computed (see schouten.schouten), and decompose_h2 reads var_theta
+alone.  The cache lives as long as its Functional.  The Euler operators
+are linear, so scale, negation, + and - pass on the variations their
+operands have already computed, scaled, negated, added or subtracted:
+the normalizer's generator Y = -X reuses the var_u that the round trip
+computed for X.  No operation computes a variation its operands lack,
+nor a grade: they pass on a degree both operands share, unless the
+result is zero (it reads 0 and 0), and u-freeness when both are u-free;
+schouten stamps each bracket with its grade.
 """
 
 from __future__ import annotations
@@ -104,53 +113,58 @@ from .algebra import DiffPoly, _accumulate, _partials, grade_of, total_derivativ
 from .rationals import QQ
 
 
-def _euler_operator(f: DiffPoly, kind: str) -> DiffPoly:
-    """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t).
-
-    The partials are collected in one pass over f, grouped by s, and
-    summed by two sign-folded Horner sweeps (see _signed_horner): over t
-    with dy for each s, then over s with dx.  When every coefficient of
-    f is rational (none is an int), f is first multiplied by the lcm L
-    of its denominators, the sweeps run on ints, and each coefficient of
-    the result is divided by L once; int or mixed input is not lifted,
-    so its coefficient types come out as the sweeps leave them.  For
-    kind 'theta' on int or lifted coefficients, the u-free bivector
-    terms are summed in closed form instead (see the module docstring).
+def _euler_operator(f, kind: str) -> DiffPoly:
+    """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t), f a DiffPoly
+    or a Functional.  Closed-form terms are summed directly (see the
+    module docstring), the partials of the others grouped by s and
+    summed by sign-folded Horner sweeps (see _signed_horner) over t, then s.
     """
-    terms = f.terms
-    L = _denominator_lcm(terms.values())
-    if L is not None:
-        terms = {k: c.numerator * (L // c.denominator) for k, c in terms.items()}
-    out = {}
-    if (
-        kind == "theta"
-        and (L is not None or all(type(c) is int for c in terms.values()))
-        and any(not (upow or ufs) and len(ths) == 2 for upow, ufs, ths in terms)
-    ):
-        # c th^a th^b adds c ((-1)^|a| - (-1)^|b|) th^(a+b); only the
-        # other terms are swept, and only a density with such a term is
-        # split into two
-        rest = {}
+    theta, scan = kind == "theta", True
+    if isinstance(f, Functional):
+        scan = f._super in (2 if theta else 1, None, _UNSET)
+        f = f.density
+    terms, out, M = f.terms, {}, None
+    L = _denominator_lcm(terms.values()) if len(terms) > 2 or not scan else None
+    if scan and terms:
+        rest, T = {}, type(next(iter(terms.values())))
         for key, c in terms.items():
+            if L is not None:
+                c = c.numerator * (L // c.denominator)
+            elif type(c) is not T:
+                out, rest = {}, terms  # mixed input: every term is swept
+                break
             upow, ufs, ths = key
-            if upow or ufs or len(ths) != 2:
+            if theta and not (upow or ufs) and len(ths) == 2:
+                # c th^a th^b adds c ((-1)^|a| - (-1)^|b|) th^(a+b)
+                (s1, t1), (s2, t2) = ths
+                if (s1 + t1 + s2 + t2) & 1:
+                    _accumulate(out, (0, (), ((s1 + s2, t1 + t2),)), -2 * c if (s1 + t1) & 1 else 2 * c)
+            elif not theta and len(ths) == 1 and upow + len(ufs) == 1 and (upow or ufs[0][1] == 1):
+                # c u^(s,t) th^b adds (-1)^(s+t) c th^(b+(s,t))
+                s, t = ufs[0][0] if ufs else (0, 0)
+                ((s2, t2),) = ths
+                _accumulate(out, (0, (), ((s + s2, t + t2),)), -c if (s + t) & 1 else c)
+            else:
                 rest[key] = c
-                continue
-            (s1, t1), (s2, t2) = ths
-            if (s1 + t1 + s2 + t2) & 1:
-                _accumulate(out, (0, (), ((s1 + s2, t1 + t2),)), -2 * c if (s1 + t1) & 1 else 2 * c)
         terms = rest
-    by_s = _partials(terms, kind)
+        if L is None and T is not int:
+            M = _denominator_lcm(terms.values())  # only what is swept is lifted
+    elif L is not None:
+        terms = {k: c.numerator * (L // c.denominator) for k, c in terms.items()}
+    if M is not None:
+        terms = {k: c.numerator * (M // c.denominator) for k, c in terms.items()}
+    by_s = _partials(terms, kind) if terms else None
     if by_s:
-        swept = _signed_horner({s: _signed_horner(col, "y") for s, col in by_s.items()}, "x")
+        swept = _signed_horner({s: _signed_horner(col, "y") for s, col in by_s.items()}, "x").terms
+        if M is not None:
+            swept = {k: QQ(v, M) if M != 1 else QQ(v) for k, v in swept.items()}
         if out:
-            # the two parts never share a key (see the module docstring)
-            out.update(swept.terms)
+            out.update(swept)  # no key in both parts (see the module docstring)
         else:
-            out = swept.terms
-    if L is None:
-        return DiffPoly(out)
-    return DiffPoly({k: QQ(v, L) for k, v in out.items()})
+            out = swept
+    if L is not None:
+        out = {k: QQ(v, L) if L != 1 else QQ(v) for k, v in out.items()}  # L = 1: no gcd
+    return DiffPoly(out)
 
 
 def _denominator_lcm(coefficients):
@@ -228,16 +242,12 @@ class _DerivativeTable:
 
 def var_u(f) -> DiffPoly:
     """Variational derivative with respect to u; kills divergences."""
-    return _euler_operator(_density(f), "u")
+    return _euler_operator(f, "u")
 
 
 def var_theta(f) -> DiffPoly:
     """Variational derivative with respect to theta (left derivatives)."""
-    return _euler_operator(_density(f), "theta")
-
-
-def _density(f) -> DiffPoly:
-    return f.density if isinstance(f, Functional) else f
+    return _euler_operator(f, "theta")
 
 
 def is_total_divergence(a: DiffPoly) -> bool:
@@ -267,20 +277,21 @@ def _carried(op, *operands):
 class Functional:
     """An element of the quotient space, held as a chosen density.
 
-    Immutable after construction, like its density, so its degrees and
-    each variation of the density are cached on first use.  The
-    variations are linear, so scale, negation, + and - hand the result
-    the variations their operands have computed already (var(cF) =
-    c var(F), var(F +- G) = var(F) +- var(G)); they never compute one.
-    theta and u, when given, are var_theta and var_u of density.
+    Immutable, like its density, so its degrees, u-freeness and each
+    variation of the density are cached on first use.  The variations
+    are linear, so scale, negation, + and - hand the result the
+    variations their operands have computed and the grades they share
+    (see _graded); they compute none.  theta and u, when given, are
+    var_theta and var_u of density.
     """
 
-    __slots__ = ("density", "_degree", "_super", "_theta", "_u")
+    __slots__ = ("density", "_degree", "_super", "_free", "_theta", "_u")
 
     def __init__(self, density: DiffPoly, theta=None, u=None):
         self.density = density
         self._degree = _UNSET
         self._super = _UNSET
+        self._free = None
         self._theta = theta
         self._u = u
 
@@ -303,17 +314,23 @@ class Functional:
             self._degree = self.density.standard_degree()
         return self._degree
 
+    def is_u_free(self) -> bool:
+        """density.is_u_free(), computed once."""
+        if self._free is None:
+            self._free = self.density.is_u_free()
+        return self._free
+
     def theta_variation(self) -> DiffPoly:
         """var_theta(density), computed once; safe because a Functional
         is immutable."""
         if self._theta is None:
-            self._theta = var_theta(self.density)
+            self._theta = var_theta(self)
         return self._theta
 
     def u_variation(self) -> DiffPoly:
         """var_u(density), computed once."""
         if self._u is None:
-            self._u = var_u(self.density)
+            self._u = var_u(self)
         return self._u
 
     def is_zero(self) -> bool:
@@ -328,34 +345,50 @@ class Functional:
         raise TypeError("functionals are not hashable (quotient equality)")
 
     def __add__(self, other: "Functional") -> "Functional":
-        return Functional(
+        H = Functional(
             self.density + other.density,
             _carried(DiffPoly.__add__, self._theta, other._theta),
             _carried(DiffPoly.__add__, self._u, other._u),
         )
+        return _graded(H, self, other)
 
     def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(
+        H = Functional(
             self.density - other.density,
             _carried(DiffPoly.__sub__, self._theta, other._theta),
             _carried(DiffPoly.__sub__, self._u, other._u),
         )
+        return _graded(H, self, other)
 
     def __neg__(self) -> "Functional":
-        return Functional(
+        H = Functional(
             -self.density,
             _carried(DiffPoly.__neg__, self._theta),
             _carried(DiffPoly.__neg__, self._u),
         )
+        return _graded(H, self, self)
 
     def scale(self, c) -> "Functional":
-        return Functional(
+        H = Functional(
             self.density.scale(c),
             _carried(DiffPoly.scale, self._theta, c),
             _carried(DiffPoly.scale, self._u, c),
         )
+        return _graded(H, self, self)
 
     def __repr__(self):
         from .printer import format_poly
 
         return f"Functional({format_poly(self.density)!r})"
+
+
+def _graded(H: Functional, F: Functional, G: Functional) -> Functional:
+    """H, a linear combination of F and G, with the degrees they share
+    (unless H is zero) and u-freeness when both are u-free."""
+    H._free = True if F._free and G._free else None
+    if H.density.terms:
+        if type(F._degree) is int and G._degree == F._degree:
+            H._degree = F._degree
+        if type(F._super) is int and G._super == F._super:
+            H._super = F._super
+    return H

@@ -21,9 +21,10 @@ running t downwards, and the per-s sums are then combined the same way
 with dx.  It takes one reference_partial per index, differentiates with
 reference_total_derivative and never lifts to ints, so it shares no code
 with the production kernels beyond DiffPoly and the product helpers.  It
-is also the oracle for the closed form that thetacalc.variational uses
-for var_theta on u-free bivector terms c th^a th^b: reference_euler runs
-the full two-loop sweep on those terms too.
+is also the oracle for the closed forms that thetacalc.variational uses
+for var_theta on u-free bivector terms c th^a th^b and for var_u on
+linear terms c u^(s,t) th^b: reference_euler runs the full two-loop
+sweep on those terms too.
 
 reference_delta and reference_bockstein_split are the odd derivation
 sum th^(s,t+1) d/du^(s,t) and the splitting map sum u^(i,0) d/dth^(i,0)

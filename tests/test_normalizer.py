@@ -364,7 +364,12 @@ def test_pushed_components_carry_their_own_variations(monkeypatch):
     derived = []
     for name in ("var_theta", "var_u"):
         op = getattr(variational, name)
-        monkeypatch.setattr(variational, name, lambda f, op=op: derived.append(f) or op(f))
+
+        def recording(f, op=op):
+            derived.append(getattr(f, "density", f))  # a Functional passes itself
+            return op(f)
+
+        monkeypatch.setattr(variational, name, recording)
     rng = random.Random(20240)
     order = 7
     cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) or QQ(1) for _ in range(order // 2)]
@@ -391,7 +396,9 @@ def test_example_push_keeps_the_variations_of_its_terms(monkeypatch):
     # the worked example at order 51, as the CLI normalizes it: the push
     # brackets and multiplies as often as the rescaled-copy push did, but
     # its terms keep their variations, so var_theta runs 542 times, not
-    # 675, and each X/n takes var_u from X
+    # 675, and each X/n takes var_u from X.  Every component is u-free
+    # and every generator linear, so both Euler operators take their
+    # closed forms and no total derivative is taken (650 before them)
     import importlib
     import sys
     from pathlib import Path
@@ -400,9 +407,10 @@ def test_example_push_keeps_the_variations_of_its_terms(monkeypatch):
 
     # a fresh p1, as in a new process: the shared one keeps its variations
     monkeypatch.setattr(importlib.import_module("thetacalc.schouten"), "_P1", pst(0, 1))
-    counts = {"var_theta": 0, "var_u": 0, "schouten": 0, "mul": 0}
-    calls = ("var_theta", "var_u", "schouten", "mul")
-    for module, name in zip(("variational", "variational", "schouten", "algebra"), calls):
+    calls = ("var_theta", "var_u", "schouten", "mul", "total_derivative")
+    counts = dict.fromkeys(calls, 0)
+    modules = ("variational", "variational", "schouten", "algebra", "algebra")
+    for module, name in zip(modules, calls):
         op = getattr(importlib.import_module(f"thetacalc.{module}"), name)
 
         def counted(*args, op=op, name=name):
@@ -415,7 +423,58 @@ def test_example_push_keeps_the_variations_of_its_terms(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     text = (Path(__file__).parent / "data" / "example_eg.pb").read_text(encoding="utf-8")
     normalize(parse(text).to_series().truncate(51))
-    assert counts == {"var_theta": 542, "var_u": 25, "schouten": 766, "mul": 998}
+    assert counts == {"var_theta": 542, "var_u": 25, "schouten": 766, "mul": 998, "total_derivative": 0}
+
+
+def test_stamped_grades_are_the_densitys_own(monkeypatch):
+    # every super degree, standard degree and u-freeness that a bracket
+    # stamps or a linear operation passes on, checked on every Functional
+    # built by normalize (the order-7 recipe conjugate and the order-51
+    # worked example in both encodings), by seeded self-test brackets and
+    # by F+G, F-G, F-F, -F and F.scale(0) on seeded operands
+    from pathlib import Path
+
+    from thetacalc.algebra import random_element
+    from thetacalc.parser import parse
+    from thetacalc.schouten import schouten
+    from thetacalc.variational import _UNSET
+
+    built = []
+    init = Functional.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Functional, "__init__", recording)
+    rng = random.Random(20240)
+    cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) or QQ(1) for _ in range(3)]
+    P = build_normal_form(cs, 7)
+    for degree in (1, 2, 3):
+        P = miura_apply(random_generator(rng, degree), P, 7)
+    assert normalize(P, 7).invariant_values() == cs
+    for name in ("example_eg.pb", "example_eg_theta.pb"):
+        text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+        normalize(parse(text).to_series().truncate(51))
+    rng = random.Random(7)
+    for _ in range(150):
+        F, G = Functional(random_element(rng)), Functional(random_element(rng))
+        for H in rng.sample((F, G), rng.randint(0, 2)):
+            H.standard_degree()  # a bracket stamps a degree only when both are cached
+        if rng.random() < 0.5:
+            F.is_u_free(), G.is_u_free()
+        B = schouten(F, G)
+        schouten(B, F)
+        for H in (F + G, F - G, F - F, -F, F.scale(0), B + B.scale(QQ(-1, 2))):
+            if H.density.is_zero():
+                assert H.super_degree() == H.standard_degree() == 0
+    counts = {"_super": 0, "_degree": 0, "_free": 0}
+    for F in built:
+        for slot, own in (("_super", "super_degree"), ("_degree", "standard_degree"), ("_free", "is_u_free")):
+            if getattr(F, slot) not in (_UNSET, None):
+                assert getattr(F, slot) == getattr(F.density, own)(), (slot, F)
+                counts[slot] += 1
+    assert min(counts.values()) > 1000, counts
 
 
 # -- the checks on the failure path ------------------------------------------

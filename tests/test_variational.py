@@ -234,13 +234,94 @@ def test_free_bivector_closed_form_signs():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_var_theta_closed_form_matches_reference(coeff, with_rest, data):
-    # int terms take the closed form unlifted, all-rational ones after the
-    # lift, mixed ones the sweeps; the other terms (u-dependent, or not two
+    # int terms take the closed form unlifted, all-rational ones unlifted
+    # in a density of one or two terms and after the lift in a longer one,
+    # mixed ones the sweeps; the other terms (u-dependent, or not two
     # thetas) always take the sweeps.  Equal terms and coefficient types.
     f = data.draw(free_bivectors(coeff))
     if with_rest:
         f = f + data.draw(keyed_poly(coeff))
     assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
+
+
+@pytest.mark.parametrize("coeff", [1, QQ(3, 4)], ids=["int", "qq"])
+def test_var_theta_closed_form_sums_on_shared_keys(coeff):
+    # th^(2,1) th and th^(2,0) th^(0,1) cancel on th^(2,1); th^(3,0) th and
+    # th^(2,0) th^(1,0) with opposite coefficients add on th^(3,0).  Each
+    # pair alone takes the closed form on its coefficients as given, the
+    # four terms together after the lift; equal terms and types either way
+    def bivector(a, b, c):
+        return DiffPoly({(0, (), (a, b)): c})
+
+    cancel = bivector((2, 1), (0, 0), coeff) + bivector((2, 0), (0, 1), coeff)
+    add = bivector((3, 0), (0, 0), coeff) + bivector((2, 0), (1, 0), -coeff)
+    assert len(add) == len(cancel) == 2
+    assert var_theta(cancel).is_zero()
+    assert var_theta(add) == th(3, 0).scale(-4 * coeff)
+    for f in (cancel, add, cancel + add):
+        assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
+
+
+def _linear(s, t, b, c):
+    """c u^(s,t) th^b as a one-term polynomial; (0,0) is the underived u."""
+    upow, ufs = (1, ()) if (s, t) == (0, 0) else (0, (((s, t), 1),))
+    return DiffPoly({(upow, ufs, (b,)): c})
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(2, -3, 5), (QQ(1, 2), QQ(-2, 3), QQ(5, 4)), (2, QQ(-2, 3), 5)],
+    ids=["int", "qq", "mixed"],
+)
+def test_var_u_closed_form_matches_reference(coeffs):
+    # linear terms, u^(0,0) th^b included, each alone, in pairs that cancel
+    # (u^(1,0) th and u th^(1,0)) or add (u^(0,1) th^(1,0) and u^(1,0)
+    # th^(0,1)) on one key, and mixed with weight-two terms, an exponent-2
+    # factor and a linear u-weight with two thetas, which are swept
+    a, b, c = coeffs
+    cancel = _linear(1, 0, (0, 0), a) + _linear(0, 0, (1, 0), a)
+    add = _linear(0, 1, (1, 0), b) + _linear(1, 0, (0, 1), b)
+    sign = _linear(2, 1, (0, 3), c)  # (-1)^(2+1): var_u is -c th^(2,4)
+    swept = DiffPoly(
+        {
+            (0, (((1, 0), 2),), ((0, 0),)): a,
+            (1, (((0, 1), 1),), ((1, 1),)): b,
+            (0, (((1, 1), 1),), ((2, 0), (0, 0))): c,
+        }
+    )
+    assert var_u(cancel).is_zero() and var_u(add) == th(1, 1).scale(-2 * b)
+    assert var_u(sign) == th(2, 4).scale(-c)
+    for f in (cancel, add, sign, cancel + add + sign, sign + swept, swept + add + sign):
+        assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
+        F = Functional(f)
+        F.super_degree()  # a known super degree other than one skips the scan
+        assert _typed(var_u(F)) == _typed(reference_euler(f, "u"))
+
+
+@st.composite
+def linear_fields(draw, coeff):
+    """Linear terms c u^(s,t) th^b with |(s,t)|, |b| up to 30, several
+    split from one target b + (s,t), so that they add up or cancel there."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        S, T = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        for _ in range(draw(st.integers(1, 4))):
+            s, t = draw(st.integers(0, S)), draw(st.integers(0, T))
+            terms.update(_linear(s, t, (S - s, T - t), draw(coeff)).terms)
+    return DiffPoly(terms)
+
+
+@pytest.mark.parametrize("with_rest", [False, True], ids=["linear", "with-rest"])
+@pytest.mark.parametrize("coeff", [INT, RATIONAL, MIXED], ids=["int", "qq", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_var_u_closed_form_matches_reference_on_random_fields(coeff, with_rest, data):
+    # as for var_theta: int and all-rational input take the closed form,
+    # mixed input the sweeps; equal terms and coefficient types
+    f = data.draw(linear_fields(coeff))
+    if with_rest:
+        f = f + data.draw(keyed_poly(coeff))
+    assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
 
 
 @settings(max_examples=60)
