@@ -144,11 +144,12 @@ def bockstein_split(t: DiffPoly) -> DiffPoly:
 
 
 def theta_monomial(indices) -> DiffPoly:
-    """Monomial th^(k1,0) ... th^(kp,0) from strictly descending k's."""
+    """Monomial th^(k1,0) ... th^(kp,0) from strictly descending k's,
+    with the int coefficient 1."""
     ks = tuple(indices)
     if any(ks[i] <= ks[i + 1] for i in range(len(ks) - 1)):
         raise ValueError("indices must be strictly descending")
-    return DiffPoly({(0, (), tuple((k, 0) for k in ks)): QQ(1)})
+    return DiffPoly({(0, (), tuple((k, 0) for k in ks)): 1})
 
 
 def _descending_tuples(count, deg, cap):
@@ -314,8 +315,9 @@ def _split_class_columns(d: int):
 
     Unit monomials with int coefficients keep the columns integral.
     """
-    keys = [next(iter(q.terms)) for q in theta_quotient_basis(3, d)]
-    return keys, [_odd_part(var_theta(bockstein_split(DiffPoly({k: 1})))) for k in keys]
+    quot = theta_quotient_basis(3, d)
+    keys = [next(iter(q.terms)) for q in quot]
+    return keys, [_odd_part(var_theta(bockstein_split(q))) for q in quot]
 
 
 def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolution]:
@@ -549,8 +551,9 @@ def verify_square_lemma(k: int) -> bool:
 
 def _is_three_theta_derivative(g: DiffPoly) -> bool:
     """Whether the two-theta g is var_theta of a three-theta density:
-    exactly when var_theta(th * g) = 3g (see verify_varder_lemma)."""
-    return var_theta(mul(DiffPoly.theta(0, 0), g)) == g.scale(3)
+    exactly when var_theta(th * g) = 3g (see verify_varder_lemma).  The
+    int unit th keeps an int g's Euler operator on ints."""
+    return var_theta(mul(theta_monomial((0,)), g)) == g.scale(3)
 
 
 def verify_varder_lemma(d: int) -> bool:
@@ -646,7 +649,7 @@ def verify_nontriv_lemma(d: int) -> bool:
         return True
     # int unit monomials keep the brackets and the Euler operators on ints;
     # each split image computes its variations once, for all its brackets
-    splits = [Functional(bockstein_split(DiffPoly({next(iter(q.terms)): 1}))) for q in quot]
+    splits = [Functional(bockstein_split(q)) for q in quot]
     cols = []
     for i, Bi in enumerate(splits):
         for Bj in splits[i:]:

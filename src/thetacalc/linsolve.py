@@ -1,11 +1,12 @@
 """Sparse exact linear algebra over the rationals.
 
 Systems are assembled from polynomial columns, with rows keyed by
-monomial keys and columns by unknown indices.  Each column is scaled by
-the lcm of its coefficient denominators, so the coefficient matrix is
-integral, and the right-hand side by the lcm of its own; both scales are
-undone in the solution.  A column with int coefficients (every generator
-column is one) goes into the rows as it is, with scale 1.
+monomial keys and columns by unknown indices.  Each column is lifted to
+ints by rationals.lift, scaled by the lcm of its coefficient
+denominators, so the coefficient matrix is integral, and the right-hand
+side by the lcm of its own; both scales are undone in the solution.  A
+column with int coefficients (every generator column is one) goes into
+the rows as it is, with scale 1.
 
 Elimination is fraction-free over Python ints (Bareiss 1968; von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The pivot row is
@@ -57,18 +58,7 @@ from __future__ import annotations
 from collections import defaultdict
 from math import gcd, lcm
 
-from .rationals import QQ, ZERO
-
-
-def _integral(poly):
-    """The lcm s of poly's coefficient denominators, and its nonzero
-    coefficients times s as ints; int coefficients are returned as they
-    are, with s = 1."""
-    terms = poly.terms
-    if all(type(c) is int for c in terms.values()):
-        return 1, terms
-    s = lcm(*(int(c.denominator) for c in terms.values()))
-    return s, {k: int(c.numerator) * (s // int(c.denominator)) for k, c in terms.items() if c}
+from .rationals import QQ, ZERO, lift
 
 
 class SparseSystem:
@@ -83,11 +73,11 @@ class SparseSystem:
         rows = defaultdict(dict)
         self.scales = []
         for j, col in enumerate(columns):
-            s, entries = _integral(col)
+            s, entries = lift(col.terms)
             self.scales.append(s)
             for key, v in entries.items():
                 rows[key][j] = v
-        self.rhs_scale, b = _integral(rhs)
+        self.rhs_scale, b = lift(rhs.terms)
         for key in b:
             rows.setdefault(key, {})
         self.ncols = len(self.scales)

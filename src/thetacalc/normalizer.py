@@ -105,7 +105,7 @@ def normalize(P: BracketSeries, order: int | None = None) -> NormalizationResult
     try:
         return _normalize_steps(truncated, order)
     except ThetaCalcError:
-        verdict = jacobi_check(truncated, order)
+        verdict = jacobi_check(truncated)
         if verdict != "ok":
             raise JacobiViolation(verdict) from None
         raise

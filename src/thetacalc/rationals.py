@@ -1,10 +1,17 @@
-"""Exact rational coefficients.
+"""Exact rational coefficients, and their one lift to integers.
 
 fractions.Fraction is the default.  When gmpy2 is installed (the
 optional `fast` extra, `pip install -e .[fast]`), its mpq is used
 instead.  Sparse elimination runs on Python ints either way (see
 linsolve), so the backend affects only the remaining rational work.
+
+lift is the one place that multiplies a density's coefficients up to
+Python ints: the sparse elimination lifts every column and right-hand
+side with it, and the Euler operators (see variational) lift a longer
+all-rational density with it.
 """
+
+from math import lcm
 
 try:
     from gmpy2 import mpq as QQ
@@ -12,6 +19,18 @@ except ImportError:
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)
+
+
+def lift(terms):
+    """(L, ints): the lcm L of the coefficient denominators of the dict
+    terms (an int counts as 1) and its coefficients times L as Python
+    ints.  An all-int dict is returned as it is, with L = 1."""
+    if all(type(c) is int for c in terms.values()):
+        return 1, terms
+    # math.lcm returns an int, and int(...) turns the products of
+    # gmpy2's mpz numerators and denominators into ints too
+    L = lcm(*{c.denominator for c in terms.values()})
+    return L, {k: int(c.numerator * (L // c.denominator)) for k, c in terms.items()}
 
 
 def rat(p, q=1):

@@ -200,17 +200,15 @@ def miura_apply(X: Functional, P: BracketSeries, order: int | None = None) -> Br
     return BracketSeries(order, acc)
 
 
-def jacobi_check(P: BracketSeries, order: int | None = None):
+def jacobi_check(P: BracketSeries):
     """Test [P,P] = 0 degree by degree within the truncation horizon.
 
     Returns 'ok' or the lowest violating standard degree.  Components of
-    [P,P] are reliable through degree order+2; beyond that unknown tail
+    [P,P] are reliable through degree P.order+2; beyond that unknown tail
     terms of P would contribute.
     """
-    if order is None:
-        order = P.order
     degrees = P.degrees()
-    for D in range(2, order + 3):
+    for D in range(2, P.order + 3):
         total = Functional.zero()
         for d1 in degrees:
             if d1 > D - 1:

@@ -48,10 +48,13 @@ of negating the whole accumulator at every step, adds the partials in
 place and skips D while the accumulator is zero.  All partials come
 from one pass over the density.
 
-The operators are linear, so a density whose coefficients are all
-rational (no int among them) is lifted to ints once: it is multiplied by
-the lcm L of its denominators, the sweeps run on Python ints, and each
-output coefficient is divided by L.  Int input runs on ints anyway, and
+The operators are linear, and they lift by one rule.  A density of
+more than two terms with no int coefficient is lifted once by
+rationals.lift: it is multiplied by the lcm L of its denominators, the
+closed forms below and the sweeps run on Python ints, and each output
+coefficient is divided by L once.  Every other density runs on its
+coefficients as given: int input is on ints already, on one or two
+terms an lcm, a lift and a division back cost more than they save, and
 mixed int/rational input is not lifted, so that an output coefficient
 fed only by int terms stays an int.
 
@@ -67,15 +70,11 @@ included, one theta) has the one partial c th^b, so var_u gets
 directly; only the other terms are swept.  A sweep output keeps the
 u-weight and theta count of its term, less one theta (var_theta) or one
 u (var_u), so a key of weight 0 with one theta comes only from a
-closed-form term, and the two parts never share a key.  A density of
-one or two terms takes the closed forms on its coefficients as given:
-an lcm, a lift and a division back cost more than they save there.  A
-longer all-rational density is lifted first, as its closed-form terms
-meet on few keys and sum faster as ints.  Mixed int/rational input
-sweeps every term: where terms cancel on one key, the type of what is
-left depends on the order of the additions, and the sweeps keep that
-order.  A Functional whose super degree is known and is not that of
-the closed-form terms (two, one) is not scanned for them.
+closed-form term, and the two parts never share a key.  Mixed
+int/rational input sweeps every term: where terms cancel on one key,
+the type of what is left depends on the order of the additions, and
+the sweeps keep that order.  The operators read nothing of a
+Functional but its density.
 
 _DerivativeTable serves the direct expansion of the coboundary columns
 (see cohomology): it derives each (axis, monomial) once, by
@@ -107,57 +106,43 @@ schouten stamps each bracket with its grade.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .algebra import DiffPoly, _accumulate, _partials, grade_of, total_derivative
-from .rationals import QQ
+from .rationals import QQ, lift
 
 
 def _euler_operator(f, kind: str) -> DiffPoly:
     """sum over (s,t) of (-dx)^s (-dy)^t d f / d<kind>^(s,t), f a DiffPoly
-    or a Functional.  Closed-form terms are summed directly (see the
-    module docstring), the partials of the others grouped by s and
-    summed by sign-folded Horner sweeps (see _signed_horner) over t, then s.
+    or a Functional, lifted to ints at most once (see the module
+    docstring).  Closed-form terms are summed directly, the partials of
+    the others grouped by s and summed by sign-folded Horner sweeps (see
+    _signed_horner) over t, then s.
     """
-    theta, scan = kind == "theta", True
-    if isinstance(f, Functional):
-        scan = f._super in (2 if theta else 1, None, _UNSET)
-        f = f.density
-    terms, out, M = f.terms, {}, None
-    L = _denominator_lcm(terms.values()) if len(terms) > 2 or not scan else None
-    if scan and terms:
-        rest, T = {}, type(next(iter(terms.values())))
-        for key, c in terms.items():
-            if L is not None:
-                c = c.numerator * (L // c.denominator)
-            elif type(c) is not T:
-                out, rest = {}, terms  # mixed input: every term is swept
-                break
-            upow, ufs, ths = key
-            if theta and not (upow or ufs) and len(ths) == 2:
-                # c th^a th^b adds c ((-1)^|a| - (-1)^|b|) th^(a+b)
-                (s1, t1), (s2, t2) = ths
-                if (s1 + t1 + s2 + t2) & 1:
-                    _accumulate(out, (0, (), ((s1 + s2, t1 + t2),)), -2 * c if (s1 + t1) & 1 else 2 * c)
-            elif not theta and len(ths) == 1 and upow + len(ufs) == 1 and (upow or ufs[0][1] == 1):
-                # c u^(s,t) th^b adds (-1)^(s+t) c th^(b+(s,t))
-                s, t = ufs[0][0] if ufs else (0, 0)
-                ((s2, t2),) = ths
-                _accumulate(out, (0, (), ((s + s2, t + t2),)), -c if (s + t) & 1 else c)
-            else:
-                rest[key] = c
-        terms = rest
-        if L is None and T is not int:
-            M = _denominator_lcm(terms.values())  # only what is swept is lifted
-    elif L is not None:
-        terms = {k: c.numerator * (L // c.denominator) for k, c in terms.items()}
-    if M is not None:
-        terms = {k: c.numerator * (M // c.denominator) for k, c in terms.items()}
-    by_s = _partials(terms, kind) if terms else None
+    theta = kind == "theta"
+    terms = (f.density if isinstance(f, Functional) else f).terms
+    L = None
+    if len(terms) > 2 and int not in map(type, terms.values()):
+        L, terms = lift(terms)
+    out, rest, T = {}, {}, type(next(iter(terms.values()), None))
+    for key, c in terms.items():
+        if type(c) is not T:
+            out, rest = {}, terms  # mixed input: every term is swept
+            break
+        upow, ufs, ths = key
+        if theta and not (upow or ufs) and len(ths) == 2:
+            # c th^a th^b adds c ((-1)^|a| - (-1)^|b|) th^(a+b)
+            (s1, t1), (s2, t2) = ths
+            if (s1 + t1 + s2 + t2) & 1:
+                _accumulate(out, (0, (), ((s1 + s2, t1 + t2),)), -2 * c if (s1 + t1) & 1 else 2 * c)
+        elif not theta and len(ths) == 1 and upow + len(ufs) == 1 and (upow or ufs[0][1] == 1):
+            # c u^(s,t) th^b adds (-1)^(s+t) c th^(b+(s,t))
+            s, t = ufs[0][0] if ufs else (0, 0)
+            ((s2, t2),) = ths
+            _accumulate(out, (0, (), ((s + s2, t + t2),)), -c if (s + t) & 1 else c)
+        else:
+            rest[key] = c
+    by_s = _partials(rest, kind) if rest else None
     if by_s:
         swept = _signed_horner({s: _signed_horner(col, "y") for s, col in by_s.items()}, "x").terms
-        if M is not None:
-            swept = {k: QQ(v, M) if M != 1 else QQ(v) for k, v in swept.items()}
         if out:
             out.update(swept)  # no key in both parts (see the module docstring)
         else:
@@ -165,16 +150,6 @@ def _euler_operator(f, kind: str) -> DiffPoly:
     if L is not None:
         out = {k: QQ(v, L) if L != 1 else QQ(v) for k, v in out.items()}  # L = 1: no gcd
     return DiffPoly(out)
-
-
-def _denominator_lcm(coefficients):
-    """lcm of the denominators, or None when some coefficient is an int."""
-    dens = set()
-    for c in coefficients:
-        if type(c) is int:
-            return None
-        dens.add(c.denominator)
-    return lcm(*dens) if dens else None
 
 
 def _signed_horner(parts: dict, axis: str) -> DiffPoly:

@@ -75,7 +75,7 @@ def reference_normalize(P, order=None):
         order = P.order
     cur = P.truncate(order)
     _require_standard_leading(cur)
-    verdict = jacobi_check(cur, order)
+    verdict = jacobi_check(cur)
     if verdict != "ok":
         raise JacobiViolation(verdict)
     invariants = []

@@ -786,6 +786,19 @@ def test_varder_lemma_small_range():
         assert verify_varder_lemma(d)
 
 
+def test_varder_lemma_hands_the_euler_operator_ints(monkeypatch):
+    # int unit monomials keep every th * g, and its sweeps, on ints
+    seen = []
+
+    def recording(f):
+        seen.extend(f.terms.values())
+        return var_theta(f)
+
+    monkeypatch.setattr(cohomology, "var_theta", recording)
+    assert verify_varder_lemma(9)
+    assert seen and all(type(c) is int for c in seen)
+
+
 def test_varder_lemma_agrees_with_the_elimination():
     # per target, the Euler criterion var_theta(th * g) == 3g against a
     # solve over the var_theta columns of theta_basis(3, d), d <= 26

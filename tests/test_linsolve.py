@@ -14,7 +14,7 @@ from thetacalc.cohomology import (
     theta_monomial,
 )
 from thetacalc.linsolve import SparseSystem, solve
-from thetacalc.rationals import QQ
+from thetacalc.rationals import QQ, lift
 from thetacalc.schouten import pst, schouten, standard_leading_term
 from thetacalc.variational import Functional, _DerivativeTable
 
@@ -50,6 +50,37 @@ def system(draw):
 def test_kernel_matches_fraction_reference(sys_):
     cols, rhs = sys_
     assert solve(cols, rhs) == reference_solve(cols, rhs)
+
+
+def _check_lift(terms, L, ints):
+    assert ints.keys() == terms.keys()
+    assert all(type(v) is int and v == c * L for v, c in zip(ints.values(), terms.values()))
+
+
+def test_lift_on_int_rational_mixed_and_empty_dicts():
+    # an all-int dict, the empty one included, comes back as it is, L = 1
+    for terms in ({KEYS[0]: 3, KEYS[1]: -2}, {}):
+        L, ints = lift(terms)
+        assert L == 1 and ints is terms
+    # all-rational, denominator 1 included, and mixed (an int counts as 1)
+    for terms, want in (
+        ({KEYS[0]: QQ(1, 2), KEYS[1]: QQ(-2, 3), KEYS[2]: QQ(5)}, 6),
+        ({KEYS[0]: QQ(4), KEYS[1]: QQ(-1)}, 1),
+        ({KEYS[0]: 4, KEYS[1]: QQ(3, 4), KEYS[2]: QQ(-5, 6)}, 12),
+    ):
+        L, ints = lift(terms)
+        assert L == want
+        _check_lift(terms, L, ints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS), st.one_of(coeff, st.integers(-6, 6).filter(bool))))
+def test_lift_scales_by_the_denominator_lcm(terms):
+    # L clears every denominator, and no smaller multiplier does
+    L, ints = lift(terms)
+    clears = [m for m in range(1, L + 1) if all((c * m).denominator == 1 for c in terms.values())]
+    assert clears == [L]
+    _check_lift(terms, L, ints)
 
 
 def _recording_eliminations(monkeypatch):

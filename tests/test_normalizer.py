@@ -539,9 +539,9 @@ def _count_checks(monkeypatch):
     counts = {"jacobi": 0, "cocycle": 0}
     bracket_of = cohomology.schouten
 
-    def jacobi(P, order=None):
+    def jacobi(P):
         counts["jacobi"] += 1
-        return jacobi_check(P, order)
+        return jacobi_check(P)
 
     def bracket(P, Q):
         # the round trip brackets p1 with a vector field, the cocycle

@@ -262,6 +262,22 @@ def test_var_theta_closed_form_sums_on_shared_keys(coeff):
         assert _typed(var_theta(f)) == _typed(reference_euler(f, "theta"))
 
 
+def test_lift_with_unit_denominators_divides_back_to_rationals():
+    # three rational terms of denominator 1 are lifted with L = 1, and the
+    # outputs are still rationals, as in the reference: closed-form and
+    # swept terms, for both operators
+    f = DiffPoly(
+        {
+            (0, (), ((2, 1), (0, 0))): QQ(2),
+            (0, (((1, 0), 1),), ((0, 0),)): QQ(-3),
+            (1, (((0, 1), 1),), ((1, 0),)): QQ(5),
+        }
+    )
+    for kind, op in (("theta", var_theta), ("u", var_u)):
+        got = _typed(op(f))
+        assert got and got == _typed(reference_euler(f, kind))
+
+
 def _linear(s, t, b, c):
     """c u^(s,t) th^b as a one-term polynomial; (0,0) is the underived u."""
     upow, ufs = (1, ()) if (s, t) == (0, 0) else (0, (((s, t), 1),))
@@ -294,7 +310,7 @@ def test_var_u_closed_form_matches_reference(coeffs):
     for f in (cancel, add, sign, cancel + add + sign, sign + swept, swept + add + sign):
         assert _typed(var_u(f)) == _typed(reference_euler(f, "u"))
         F = Functional(f)
-        F.super_degree()  # a known super degree other than one skips the scan
+        F.super_degree()  # a cached super degree changes nothing
         assert _typed(var_u(F)) == _typed(reference_euler(f, "u"))
 
 
