@@ -188,9 +188,14 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = DiffPoly.one()
-        for _ in range(n):
-            out = mul(out, self)
+        # square and multiply: about 2*log2(n) products, not n
+        out, base = DiffPoly.one(), self
+        while n:
+            if n & 1:
+                out = mul(out, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
         return out
 
     def __eq__(self, other) -> bool:
@@ -417,49 +422,42 @@ def grade_of(a: DiffPoly) -> Optional[Grade]:
 # -- finite bases -------------------------------------------------------
 
 
-def _derivative_multisets(degree: int, max_count: int):
-    """Multisets of u-derivative indices with given total degree.
+def _u_keys(a: int, b: int, w: int) -> tuple:
+    """The theta-free keys of u-weight w, x-order a and y-order b, sorted.
 
-    Yields ascending ((s,t), exp) tuples with sum(exp * (s+t)) == degree
-    and sum(exp) <= max_count; each multiset appears exactly once.
+    Built directly as ascending multisets of u-derivative indices (s, t)
+    with s <= a and t <= b, at most w factors, the rest of the weight on
+    the underived u.  When one factor is left it must be the index of
+    the whole order left, so it is looked up instead of searched.
     """
-    if degree == 0:
-        yield ()
-        return
-    if max_count <= 0:
-        return
-    indices = sorted(
-        (s, d - s) for d in range(1, degree + 1) for s in range(d + 1)
-    )
-    # the positions of the indices of each degree, ascending
-    positions = {}
-    for i, (s, t) in enumerate(indices):
-        positions.setdefault(s + t, []).append(i)
+    if a < 0 or b < 0:
+        return ()
+    indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t]
+    out = []
 
-    def rec(pos, deg_left, count_left):
-        if deg_left == 0:
-            yield ()
+    def rec(pos, xs, ys, count, ufs):
+        if not (xs or ys):
+            out.append((w - count, ufs, ()))
             return
-        if count_left == 0:
-            # degree left but no factor left: no later index can help
-            return
-        if count_left == 1:
-            # one factor left: it must carry the whole degree left
-            for i in positions[deg_left]:
-                if i >= pos:
-                    yield ((indices[i], 1),)
+        if count == w:
+            return  # order left but no factor left
+        if count == w - 1:
+            # one factor left: it is (xs, ys) itself, taken only if it
+            # sorts after the last factor, so no multiset comes twice
+            if not ufs or (xs, ys) > ufs[-1][0]:
+                out.append((0, ufs + (((xs, ys), 1),), ()))
             return
         for i in range(pos, len(indices)):
-            idx = indices[i]
-            step = idx[0] + idx[1]
-            if step > deg_left:
-                continue
-            emax = min(count_left, deg_left // step)
-            for e in range(1, emax + 1):
-                for rest in rec(i + 1, deg_left - step * e, count_left - e):
-                    yield ((idx, e),) + rest
+            s, t = indices[i]
+            if s > xs:
+                break
+            e = 1
+            while e * s <= xs and e * t <= ys and count + e <= w:
+                rec(i + 1, xs - e * s, ys - e * t, count + e, ufs + (((s, t), e),))
+                e += 1
 
-    yield from rec(0, degree, max_count)
+    rec(0, a, b, 0, ())
+    return tuple(sorted(out))
 
 
 def _theta_sets(degree: int, count: int, prev=None):
@@ -489,27 +487,24 @@ def enumerate_basis(g: Grade) -> list:
     """Complete monomial basis of the (d, p, w) component.
 
     Finite because d bounds every derivative order and w bounds the
-    number of u factors.  Deterministic order.
+    number of u factors.  The u parts of each theta degree are listed
+    once, by x-order, and shared by that degree's theta sets.  Sorted by
+    key.
     """
     d, p, w = g
     if d < 0 or p < 0 or w < 0:
         return []
     out = []
-    for ths in _theta_sets_all(d, p):
-        du = d - sum(s + t for s, t in ths)
-        for ufs in _derivative_multisets(du, w):
-            nfac = sum(e for _, e in ufs)
-            upow = w - nfac
-            if upow < 0:
-                continue
-            out.append(Monomial(QQ(1), upow, ufs, ths))
+    for du in range(d + 1):
+        thetas = list(_theta_sets(d - du, p))
+        if not thetas:
+            continue
+        ukeys = [k for a in range(du + 1) for k in _u_keys(a, du - a, w)]
+        for ths in thetas:
+            for upow, ufs, _ in ukeys:
+                out.append(Monomial(QQ(1), upow, ufs, ths))
     out.sort(key=lambda m: m.key)
     return out
-
-
-def _theta_sets_all(max_degree: int, count: int):
-    for deg in range(max_degree + 1):
-        yield from _theta_sets(deg, count)
 
 
 def random_element(rng) -> DiffPoly:

@@ -6,8 +6,9 @@ functionals it agrees with the adjoint action of the standard leading
 bivector (asserted in the suite).  The splitting map B sends a
 constant-coefficient polynomial in the x-derivative thetas to a density
 linear in u, commutes with dx, and satisfies delta o B = dy.  Both are
-sums over the partial derivatives of algebra._partials; only the hot
-column builder _ad_p1_column still builds monomial keys itself.
+sums over the partial derivatives of algebra._partials; of the
+derivations, only the hot column builder _ad_p1_column builds monomial
+keys itself.
 
 The solver decompose_h2 writes an adjoint-closed bivector component as
 
@@ -37,7 +38,7 @@ whole block.
 solve_slice(d, w, a, rows) builds the columns of one slice and solves
 the slice's rows over them with linsolve.solve, which eliminates a few
 sparse rows per column and checks the rest exactly.  It takes the
-generator keys of the slice alone (_generator_keys builds the monomials
+generator keys of the slice alone (algebra._u_keys builds the monomials
 of x-order a directly, without enumerating the block), and nothing is
 kept.  decompose_h2 is the one loop that solves through it: it groups
 the odd-order coordinates of var_theta(P_d) by (weight, x-order) and
@@ -84,7 +85,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .algebra import DiffPoly, _partials, mul
+from .algebra import DiffPoly, _partials, _u_keys, mul
 from .errors import InternalInconsistency, NotACocycle
 from .linsolve import solve
 from .rationals import QQ
@@ -269,39 +270,6 @@ def _slices(theta_part: DiffPoly) -> dict:
     return {wa: DiffPoly(terms) for wa, terms in out.items()}
 
 
-def _generator_keys(d: int, w: int, a: int) -> tuple:
-    """The generator keys of slice a of the (d, w) block, sorted: the
-    monomials of Grade(d-1, 0, w+1) with x-order a and y-order d-1-a.
-
-    Built directly as ascending multisets of u-derivative indices (s, t)
-    with s <= a and t <= d-1-a, at most w+1 factors, the rest of the
-    weight on the underived u.
-    """
-    b = d - 1 - a
-    if a < 0 or b < 0:
-        return ()
-    indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t]
-    out = []
-
-    def rec(pos, xs, ys, count, ufs):
-        if not (xs or ys):
-            out.append((w + 1 - count, ufs, ()))
-            return
-        if count > w:
-            return  # degree left but no factor left
-        for i in range(pos, len(indices)):
-            s, t = indices[i]
-            if s > xs:
-                break
-            e = 1
-            while e * s <= xs and e * t <= ys and count + e <= w + 1:
-                rec(i + 1, xs - e * s, ys - e * t, count + e, ufs + (((s, t), e),))
-                e += 1
-
-    rec(0, a, b, 0, ())
-    return tuple(sorted(out))
-
-
 class BlockSolution(NamedTuple):
     """One slice of P_d = c*p_d + B(chi) + ad_p1(X)."""
 
@@ -336,7 +304,7 @@ def solve_slice(d: int, w: int, a: int, rows: DiffPoly) -> Optional[BlockSolutio
     """
     if rows.super_degree() != 1:
         raise ValueError("solve_slice expects var_theta coordinates")
-    x_keys = _generator_keys(d, w, a)
+    x_keys = _u_keys(a, d - 1 - a, w + 1)
     # unit monomials with int coefficients keep the generator columns
     # integral; their mixed derivatives share one derivative table,
     # dropped with the columns

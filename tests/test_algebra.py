@@ -1,19 +1,24 @@
+import hashlib
+import random
 import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetacalc import algebra
 from thetacalc.algebra import (
     DiffPoly,
     Grade,
-    _derivative_multisets,
     _partials,
+    _u_keys,
     enumerate_basis,
     grade_of,
     mul,
+    random_element,
     total_derivative,
 )
+from thetacalc.printer import format_poly
 from thetacalc.rationals import QQ
 
 u = DiffPoly.u
@@ -353,23 +358,21 @@ def _full_multiset_search(degree, max_count):
 
 
 def test_derivative_multisets_match_the_full_search():
-    # same multisets in the same order, with the last factor looked up
-    # by its degree
+    # the u parts of one degree, listed by x-order with the last factor
+    # looked up, are the multisets of the full search, each once
     for degree in range(13):
         for count in range(8):
-            assert list(_derivative_multisets(degree, count)) == _full_multiset_search(degree, count)
+            got = sorted(ufs for a in range(degree + 1) for _, ufs, _ in _u_keys(a, degree - a, count))
+            assert got == sorted(_full_multiset_search(degree, count)), (degree, count)
 
 
-def test_basis_enumeration_does_no_dead_search():
-    # Lines run inside the algebra module while listing the 51 monomials
-    # of Grade(50, 0, 1): a search that keeps scanning indices once no
-    # factor is left runs millions; enumerating them directly, a few
-    # tens of thousands.
+def _lines_in_algebra(call):
+    """call() and the number of lines it runs inside the algebra module."""
     lines = 0
 
     def tracer(frame, event, arg):
         nonlocal lines
-        if frame.f_code.co_filename != enumerate_basis.__code__.co_filename:
+        if frame.f_code.co_filename != algebra.__file__:
             return None
         if event == "line":
             lines += 1
@@ -378,8 +381,53 @@ def test_basis_enumeration_does_no_dead_search():
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        basis = enumerate_basis(Grade(50, 0, 1))
+        return call(), lines
     finally:
         sys.settrace(previous)
+
+
+def test_basis_enumeration_does_no_dead_search():
+    # Lines run inside the algebra module while listing the 51 monomials
+    # of Grade(50, 0, 1): a search that keeps scanning indices once no
+    # factor is left runs millions; enumerating them directly, a few
+    # tens of thousands.
+    basis, lines = _lines_in_algebra(lambda: enumerate_basis(Grade(50, 0, 1)))
     assert len(basis) == 51
     assert lines < 200_000, lines
+
+
+def test_slice_keys_do_no_dead_search():
+    # The same for the 52 generator keys of the slices of block (52, 0),
+    # one u-derivative each: looking the last factor up takes about
+    # 27,000 lines, scanning every index of the slice for it about 300,000.
+    keys, lines = _lines_in_algebra(lambda: [k for a in range(52) for k in _u_keys(a, 51 - a, 1)])
+    assert keys == [(0, (((a, 51 - a), 1),), ()) for a in range(52)]
+    assert lines < 60_000, lines
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [(1, "bfbf3b71b66caa77817911d9aea0e682"), (2, "e10dac6cb895fdd1573af357f059968d")],
+)
+def test_random_element_draws_are_fixed(seed, digest):
+    # the self-test and the seeded tests replay these draws
+    rng = random.Random(seed)
+    lines = [format_poly(random_element(rng)) for _ in range(200)]
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = 0
+    real_mul = algebra.mul
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(algebra, "mul", counting_mul)
+    assert u() ** 1000 == DiffPoly({(1000, (), ()): QQ(1)})
+    assert calls <= 20, calls
+    assert u(1, 0) ** 0 == DiffPoly.one()
+    with pytest.raises(ValueError):
+        u() ** -1

@@ -14,9 +14,10 @@ from reference_lemmas import (
     theta_basis,
 )
 from reference_nontriv import reference_nontriv
+from test_algebra import _brute_force_basis
 
 from thetacalc import cohomology
-from thetacalc.algebra import DiffPoly, Grade, _key_grade, enumerate_basis, mul, total_derivative
+from thetacalc.algebra import DiffPoly, Grade, _key_grade, _u_keys, enumerate_basis, mul, total_derivative
 from thetacalc.cohomology import (
     _ad_p1_column,
     bockstein_split,
@@ -373,7 +374,7 @@ def test_block_operator_matches_direct_solve():
         for w in range(4):
             basis, has_c, quot, cols = _reference_block(d, w)
             # the slices partition the generators
-            keys = [k for a in range(d) for k in cohomology._generator_keys(d, w, a)]
+            keys = [k for a in range(d) for k in _u_keys(a, d - 1 - a, w + 1)]
             assert sorted(keys) == sorted(next(iter(m.terms)) for m in basis)
             # the densities whose var_theta are the columns
             densities = [delta(mul(m, th(0, 0))) for m in basis]
@@ -399,14 +400,16 @@ def test_block_operator_matches_direct_solve():
 
 
 def test_generator_keys_are_the_x_order_slices_of_the_basis():
-    # slice a's keys, built directly, are the x-order-a keys of the
-    # whole generator basis in its sorted order; empty slices give ()
-    for d in range(1, 14):
-        for w in range(5):
-            basis = [m.key for m in enumerate_basis(Grade(d - 1, 0, w + 1))]
+    # slice a's keys are the x-order-a keys of the generator basis, in
+    # sorted order, against a brute-force basis that shares no code
+    # with the slice search; empty slices give ()
+    oracle = _brute_force_basis(7, 0, 4)
+    for d in range(1, 9):
+        for w in range(4):
+            basis = sorted(oracle.get(Grade(d - 1, 0, w + 1), ()))
             for a in range(-1, d + 2):
                 want = tuple(k for k in basis if _x_order(k) == a)
-                assert cohomology._generator_keys(d, w, a) == want, (d, w, a)
+                assert _u_keys(a, d - 1 - a, w + 1) == want, (d, w, a)
                 if a < 0 or a >= d:
                     assert want == ()
 
@@ -587,7 +590,8 @@ def test_delta_and_split_match_the_key_level_loops_on_unit_monomials():
 
 def test_cohomology_and_deltaform_read_only_the_partial_kernel():
     # delta, the splitting map and theta_to_delta are sums over _partials;
-    # no other private name of algebra edits key tuples for them
+    # no other private name of algebra edits key tuples for them (_u_keys
+    # lists the generator keys of a slice and edits none)
     src = Path(cohomology.__file__).parent
     for name in ("cohomology.py", "deltaform.py"):
         tree = ast.parse((src / name).read_text())
@@ -598,7 +602,7 @@ def test_cohomology_and_deltaform_read_only_the_partial_kernel():
             for alias in node.names
             if alias.name.startswith("_")
         }
-        assert private <= {"_partials"}, name
+        assert private <= {"_partials", "_u_keys"}, name
 
 
 @st.composite

@@ -3,10 +3,9 @@ import random
 from hypothesis import given, settings, strategies as st
 from reference_elimination import reference_solve
 
-from thetacalc.algebra import DiffPoly, mul
+from thetacalc.algebra import DiffPoly, _u_keys, mul
 from thetacalc.cohomology import (
     _ad_p1_column,
-    _generator_keys,
     bockstein_split,
     decompose_h2,
     evolutionary_field,
@@ -127,7 +126,7 @@ def test_row_subsets_agree_with_the_reference_on_every_generator_slice(monkeypat
     for d in range(1, 9):
         for w in range(4):
             for a in range(d):
-                keys = _generator_keys(d, w, a)
+                keys = _u_keys(a, d - 1 - a, w + 1)
                 if not keys:
                     continue
                 table = _DerivativeTable()
