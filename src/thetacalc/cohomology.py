@@ -76,8 +76,9 @@ variational._DerivativeTable per slice, so each monomial is derived once
 per axis in a slice, and the table is dropped with the slice.  There is
 no table across slices: one that grows with the process costs more
 memory than it saves time (see variational).  The split-class columns,
-the c column and the lemma verifiers run the Euler operators of
-variational directly.
+the c column and the bockstein and nontriv verifiers run the Euler
+operators of variational directly; verify_varder_lemma reads one
+closed-form coefficient per target instead.
 """
 
 from __future__ import annotations
@@ -517,34 +518,66 @@ def verify_square_lemma(k: int) -> bool:
     return True
 
 
-def _is_three_theta_derivative(g: DiffPoly) -> bool:
-    """Whether the two-theta g is var_theta of a three-theta density:
-    exactly when var_theta(th * g) = 3g (see verify_varder_lemma).  The
-    int unit th keeps an int g's Euler operator on ints."""
-    return var_theta(mul(theta_monomial((0,)), g)) == g.scale(3)
+def _varder_witness(d: int, i: int) -> tuple:
+    """(key, lhs, rhs) for the target g = th^(d-i,0) th^(i,0), 0 <= i <
+    d-i: a witness key, its coefficient in var_theta(th * g) and its
+    coefficient in 3g, in closed form (see verify_varder_lemma)."""
+    if i == 0:
+        return (0, (), ((d, 0), (0, 0))), 0, 3
+    sign = -1 if (d - i) & 1 else 1
+    if d & 1:
+        return (0, (), ((d, 0), (0, 0))), 2 * sign, 0
+    if i == 1:
+        return (0, (), ((d - 1, 0), (1, 0))), 4 - d, 3
+    return (0, (), ((d - 1, 0), (1, 0))), sign * (d - 2 * i), 0
 
 
 def verify_varder_lemma(d: int) -> bool:
     """No three-theta element has a single pair monomial as its
     theta variational derivative.
 
-    For a target g = th^(d-i,0) th^(i,0), 0 <= i < d-i, some f in the
-    span of the standard monomials th^(i1,0) th^(i2,0) th^(i3,0),
+    For a target g = th^(a,0) th^(b,0), a = d-i > b = i >= 0, some f in
+    the span of the standard monomials th^(i1,0) th^(i2,0) th^(i3,0),
     i1 > i2 > i3 >= 0, of degree d has var_theta(f) = g exactly when
-    var_theta(th * g) = 3g, so one Euler operator per target decides.
-    If var_theta(f) = g, the theta Euler identity (see variational)
-    gives 3f congruent to th * g modulo divergences, and var_theta,
-    which kills divergences, gives var_theta(th * g) = 3g.  Conversely,
-    for i >= 1 the product th * g = th^(d-i,0) th^(i,0) th is a standard
-    monomial of degree d (moving th past two odd factors gives no sign),
-    so f = th * g / 3 lies in the span and var_theta(f) = g; for i = 0
-    the product is zero, var_theta of it is not 3g, and no f exists.
+    var_theta(th * g) = 3g.  If var_theta(f) = g, the theta Euler
+    identity (see variational) gives 3f congruent to th * g modulo
+    divergences, and var_theta, which kills divergences, gives
+    var_theta(th * g) = 3g.  Conversely, for i >= 1 the product th * g =
+    th^(a,0) th^(b,0) th is a standard monomial of degree d (moving th
+    past two odd factors gives no sign), so f = th * g / 3 lies in the
+    span and var_theta(f) = g.
+
+    One coefficient of each side decides, so no Euler operator runs
+    (_varder_witness).  Write th^k for th^(k,0) and D for D_x.  For
+    i = 0, th * g = 0 and var_theta of it is zero, while g itself has
+    coefficient 3 in 3g.  For i >= 1 the left partials of th^a th^b th^0
+    are th^b th^0, -th^a th^0 and th^a th^b, so
+
+        var_theta(th * g) = (-D)^a (th^b th^0) - (-D)^b (th^a th^0) + th^a th^b,
+
+    and D^n (th^p th^q) = sum over k of C(n,k) th^(p+k) th^(q+n-k), each
+    term put in canonical order with a sign (th^m th^m = 0).
+
+    - d odd: a and b differ in parity.  th^d th^0 comes only from the
+      k = n terms of the two binomial sums (th^(b+k) = th^0 would need
+      b = 0), so its coefficient is (-1)^a - (-1)^b = 2 (-1)^a, while 3g
+      has none (b >= 1).
+    - d even, so d >= 4, and a, b share their parity: th^(d-1) th^1
+      gets (-1)^a a from k = a-1 of the first sum, -(-1)^b b from
+      k = b-1 of the second (a+k = 1 is impossible, as a >= 3), and for
+      b = 1 also -(-1)^a from k = 0 of the first sum, reordered, and +1
+      from th^a th^b.  For i >= 2 that is (-1)^a (d-2i), nonzero as
+      i < d-i, against 0 in 3g; for i = 1 (a = d-1 odd) it is 4-d,
+      against 3.
+
+    So var_theta(th * g) != 3g for every target: the lemma holds at every
+    d >= 1.  The suite checks the witness coefficients against var_theta.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return not any(
-        _is_three_theta_derivative(theta_monomial((d - i, i)))
-        for i in range(0, (d - 1) // 2 + 1)
+    return all(
+        lhs != rhs
+        for _, lhs, rhs in (_varder_witness(d, i) for i in range((d - 1) // 2 + 1))
     )
 
 

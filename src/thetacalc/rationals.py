@@ -15,8 +15,12 @@ from math import lcm
 
 try:
     from gmpy2 import mpq as QQ
+
+    _MPZ = True  # as_integer_ratio gives mpz, which lift turns into ints
 except ImportError:
     from fractions import Fraction as QQ
+
+    _MPZ = False
 
 ZERO = QQ(0)
 
@@ -27,10 +31,12 @@ def lift(terms):
     ints.  An all-int dict is returned as it is, with L = 1."""
     if all(type(c) is int for c in terms.values()):
         return 1, terms
-    # math.lcm returns an int, and int(...) turns the products of
-    # gmpy2's mpz numerators and denominators into ints too
-    L = lcm(*{c.denominator for c in terms.values()})
-    return L, {k: int(c.numerator * (L // c.denominator)) for k, c in terms.items()}
+    # one read per coefficient; Fraction's ratio is made of ints already
+    ratios = {k: c.as_integer_ratio() for k, c in terms.items()}
+    L = lcm(*{q for _, q in ratios.values()})
+    if _MPZ:
+        return L, {k: int(p * (L // q)) for k, (p, q) in ratios.items()}
+    return L, {k: p * (L // q) for k, (p, q) in ratios.items()}
 
 
 def rat(p, q=1):

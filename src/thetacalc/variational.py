@@ -18,9 +18,10 @@ kills divergences, gives var_theta(th * g) = p g for every g =
 var_theta(f); conversely, var_theta(th * g) = p g makes th * g / p a
 preimage of g.  So at super degree p a density g of super degree p-1
 is a theta variational derivative exactly when var_theta(th * g) = p g,
-one Euler operator instead of a solve:
-cohomology.verify_varder_lemma decides each of its targets this way,
-with p = 3.  var_theta lowers the
+one Euler operator instead of a solve.  cohomology.verify_varder_lemma
+decides each of its targets by this criterion with p = 3, and needs
+not even the operator: one coefficient of each side, in closed form,
+differs.  var_theta lowers the
 super degree by one, so it vanishes on a mixed density exactly when it
 vanishes on each homogeneous part; the theta-free part is then the only
 one left to decide, and var_u of the other parts is zero already.  So
@@ -86,7 +87,7 @@ block.  A table per column was slower: two order-6 conjugates took
 One process-wide table keeps every monomial ever derived, and raised
 peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
 The Euler operators themselves run on total_derivative for every
-caller.
+caller; only its theta images are kept process-wide (see algebra).
 
 A Functional is immutable, so it computes its degrees, its u-freeness
 and each of its variations on first use and keeps them, one cache per

@@ -790,28 +790,24 @@ def test_varder_lemma_small_range():
         assert verify_varder_lemma(d)
 
 
-def test_varder_lemma_hands_the_euler_operator_ints(monkeypatch):
-    # int unit monomials keep every th * g, and its sweeps, on ints
-    seen = []
-
-    def recording(f):
-        seen.extend(f.terms.values())
-        return var_theta(f)
-
-    monkeypatch.setattr(cohomology, "var_theta", recording)
-    assert verify_varder_lemma(9)
-    assert seen and all(type(c) is int for c in seen)
+def test_varder_witness_matches_the_euler_operator(max_degree=60):
+    # per target g, the closed-form witness coefficients against
+    # var_theta(th * g) and 3g themselves; CI runs max_degree=120
+    for d in range(1, max_degree + 1):
+        for i in range((d - 1) // 2 + 1):
+            g = theta_monomial((d - i, i))
+            key, lhs, rhs = cohomology._varder_witness(d, i)
+            assert var_theta(mul(th(0, 0), g)).coefficient(key) == lhs, (d, i)
+            assert g.scale(3).coefficient(key) == rhs, (d, i)
 
 
 def test_varder_lemma_agrees_with_the_elimination():
-    # per target, the Euler criterion var_theta(th * g) == 3g against a
-    # solve over the var_theta columns of theta_basis(3, d), d <= 26
+    # per target, the witness decision against a solve over the
+    # var_theta columns of theta_basis(3, d), d <= 26
     for d in range(1, 27):
         want = reference_varder_solvable(d)
-        got = [
-            cohomology._is_three_theta_derivative(theta_monomial((d - i, i)))
-            for i in range((d - 1) // 2 + 1)
-        ]
+        witnesses = [cohomology._varder_witness(d, i) for i in range((d - 1) // 2 + 1)]
+        got = [lhs == rhs for _, lhs, rhs in witnesses]
         assert got == want, d
         assert not any(want) and verify_varder_lemma(d), d
 

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 from reference_elimination import reference_solve
 
+from thetacalc import rationals
 from thetacalc.algebra import DiffPoly, _u_keys, mul
 from thetacalc.cohomology import (
     _ad_p1_column,
@@ -70,6 +71,34 @@ def test_lift_on_int_rational_mixed_and_empty_dicts():
         L, ints = lift(terms)
         assert L == want
         _check_lift(terms, L, ints)
+
+
+class _Mpz(int):
+    """An integer whose products stay of its own type, as gmpy2's mpz."""
+
+    def __mul__(self, other):
+        return _Mpz(int(self) * int(other))
+
+    def __rfloordiv__(self, other):
+        return _Mpz(int(other) // int(self))
+
+
+class _Mpq:
+    """A rational whose ratio is a pair of _Mpz, as gmpy2's mpq."""
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+
+    def as_integer_ratio(self):
+        return _Mpz(self.p), _Mpz(self.q)
+
+
+def test_lift_hands_back_ints_from_a_non_int_ratio(monkeypatch):
+    # the gmpy2 backend: numerators and denominators are mpz, the lift ints
+    monkeypatch.setattr(rationals, "_MPZ", True)
+    L, ints = lift({KEYS[0]: _Mpq(1, 2), KEYS[1]: _Mpq(-2, 3), KEYS[2]: 5})
+    assert L == 6 and ints == {KEYS[0]: 3, KEYS[1]: -4, KEYS[2]: 30}
+    assert all(type(v) is int for v in ints.values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -326,6 +326,29 @@ def test_normal_form_builds_only_class_slices(monkeypatch):
     assert built == [(3, 0, 3), (5, 0, 5), (7, 0, 7)]
 
 
+def _recipe_conjugate(order):
+    """The criterion-7 recipe: (cs, P) with P a Miura conjugate of the
+    normal form with invariants cs by three random generators."""
+    rng = random.Random(20240)
+    cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) or QQ(1) for _ in range(order // 2)]
+    P = build_normal_form(cs, order)
+    for degree in (1, 2, 3):
+        P = miura_apply(random_generator(rng, degree), P, order)
+    return cs, P
+
+
+def test_second_normalize_derives_no_theta_tuple():
+    # the order-9 recipe conjugate normalized twice: the second run meets
+    # only theta tuples that total_derivative has derived already
+    from thetacalc.algebra import _THETA_RULES
+
+    _, P = _recipe_conjugate(9)
+    normalize(P, 9)
+    seen = set(_THETA_RULES)
+    normalize(P, 9)
+    assert set(_THETA_RULES) == seen
+
+
 @pytest.mark.parametrize(
     "order, md5",
     [
@@ -342,11 +365,7 @@ def test_larger_conjugate_generators_are_pinned(order, md5):
 
     from thetacalc.printer import format_poly
 
-    rng = random.Random(20240)
-    cs = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) or QQ(1) for _ in range(order // 2)]
-    P = build_normal_form(cs, order)
-    for degree in (1, 2, 3):
-        P = miura_apply(random_generator(rng, degree), P, order)
+    cs, P = _recipe_conjugate(order)
     res = normalize(P, order)
     assert res.invariant_values() == cs
     text = "".join(format_poly(g.density) + "\n" for g in res.generators)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference_euler import reference_euler, reference_partial, reference_total_derivative
 
+from thetacalc import algebra
 from thetacalc.algebra import (
     DiffPoly,
     Grade,
@@ -139,6 +140,35 @@ def test_total_derivative_matches_reference(coeff, axis, data):
     # equal terms and equal coefficient types
     f = data.draw(keyed_poly(coeff, keys(DENSE_INDEX, max_ufs=3)))
     assert _typed(total_derivative(f, axis)) == _typed(reference_total_derivative(f, axis))
+
+
+# up to four theta factors of low order, so raised indices often collide
+THETA_KEYS = st.tuples(
+    st.integers(0, 1),
+    st.dictionaries(DENSE_INDEX.filter(lambda i: i != (0, 0)), st.integers(1, 2), max_size=1),
+    st.sets(DENSE_INDEX, max_size=4),
+)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@settings(max_examples=100, deadline=None)
+@given(f=keyed_poly(MIXED, THETA_KEYS))
+def test_total_derivative_matches_reference_with_the_theta_memo_cold_and_warm(axis, f):
+    # the first call derives every theta tuple of f, the second reads them
+    algebra._THETA_RULES.clear()
+    want = _typed(reference_total_derivative(f, axis))
+    assert _typed(total_derivative(f, axis)) == want
+    assert _typed(total_derivative(f, axis)) == want
+
+
+def test_theta_memo_holds_one_entry_per_axis_and_tuple():
+    f = th(2, 0) * th(1, 0) * th(0, 0) + u() * th(1, 0) * th(0, 0) + u(0, 1) * th(0, 0) * th(1, 1) + u(1, 0)
+    algebra._THETA_RULES.clear()
+    for axis in ("x", "x", "y"):
+        total_derivative(f, axis)
+    thetas = {ths for _, _, ths in f.terms}
+    assert len(thetas) == 4  # the theta-free u(1, 0) has the empty tuple
+    assert sorted(algebra._THETA_RULES) == sorted((axis, ths) for axis in "xy" for ths in thetas)
 
 
 @pytest.mark.parametrize("coeff", [INT, RATIONAL, MIXED], ids=["int", "qq", "mixed"])
@@ -430,8 +460,6 @@ def test_theta_euler_identity():
 
     from reference_lemmas import theta_basis
 
-    from thetacalc.cohomology import _is_three_theta_derivative
-
     rng = random.Random(18)
     draws = []
     while len(draws) < 200:
@@ -451,7 +479,6 @@ def test_theta_euler_identity():
         if g.is_zero():
             continue
         assert var_theta(mul(th(0, 0), g)) == g.scale(3), f
-        assert _is_three_theta_derivative(g), f
         checked += 1
     assert checked >= 300
 
