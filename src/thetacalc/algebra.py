@@ -454,12 +454,12 @@ def _u_keys(a: int, b: int, w: int) -> tuple:
 
     Built directly as ascending multisets of u-derivative indices (s, t)
     with s <= a and t <= b, at most w factors, the rest of the weight on
-    the underived u.  When one factor is left it must be the index of
-    the whole order left, so it is looked up instead of searched.
+    the underived u.  The last factor is the index of the whole order
+    left, so it is looked up; at w = 1 no index is even listed.
     """
     if a < 0 or b < 0:
         return ()
-    indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t]
+    indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t] if w > 1 else ()
     out = []
 
     def rec(pos, xs, ys, count, ufs):

@@ -71,13 +71,11 @@ of each right-hand side and the pivot set, hence the solutions, with
 about half the rows.
 
 The generator columns are expanded directly by Leibniz (_ad_p1_column),
-generating only odd-order terms; their mixed derivatives come from one
-variational._DerivativeTable per slice, so each monomial is derived once
-per axis in a slice, and the table is dropped with the slice.  There is
-no table across slices: one that grows with the process costs more
-memory than it saves time (see variational).  The split-class columns,
-the c column and the bockstein and nontriv verifiers run the Euler
-operators of variational directly; verify_varder_lemma reads one
+generating only odd-order terms and walking their mixed derivatives
+through one variational._DerivativeTable per slice, which derives each
+monomial once per axis and is dropped with the slice.  The split-class
+columns, the c column and the bockstein and nontriv verifiers run the
+Euler operators of variational directly; verify_varder_lemma reads one
 closed-form coefficient per target instead.
 """
 
@@ -214,11 +212,12 @@ def _ad_p1_column(m: DiffPoly, table: _DerivativeTable) -> DiffPoly:
     th^(s-i,T-j), and only the terms with (s-i)+(T-j) odd are generated;
     the i = j = 0 term meets -a_alpha th^alpha, and when s+T is odd the
     two add to -2 a_alpha th^alpha (when it is even, both are dropped).
-    The mixed derivatives of the monomials of a_alpha come from
-    table.power.  The coefficient type of m is kept: an int m gives an
-    int column.
+    The mixed derivatives of each monomial of a_alpha are walked, not
+    kept: D_x once per i, then from the first j of the right parity up
+    in steps of D_y^2, each a table.step.  The coefficient type of m is
+    kept: an int m gives an int column.
     """
-    power = table.power
+    step = table.step
     acc = {}
     for s, by_t in _partials(m.terms, "u").items():
         for t, a in by_t.items():
@@ -227,14 +226,20 @@ def _ad_p1_column(m: DiffPoly, table: _DerivativeTable) -> DiffPoly:
             for key, c in a.terms.items():
                 # a constant has no derivatives: only its i = j = 0 term is left
                 imax, jmax = (0, 0) if key == (0, (), ()) else (s, T)
+                dx = ((key, 1),)  # D_x^i of the unit monomial key
                 for i in range(imax + 1):
+                    if i:
+                        dx = step(dx, "x")
                     bi = sign * comb(s, i)
+                    cur = dx  # D_x^i D_y^j of it
                     # (s - i) + (T - j) odd
                     for j in range((s - i + T + 1) & 1, jmax + 1, 2):
+                        if j:
+                            cur = step(cur, "yy" if j > 1 else "y")
                         mult = bi * comb(T, j) if i or j else -2
                         th = ((s - i, T - j),)
                         v = c * mult
-                        for (upow, ufs, _), n in power(key, i, j):
+                        for (upow, ufs, _), n in cur:
                             k = (upow, ufs, th)
                             val = v * n
                             prev = acc.get(k)

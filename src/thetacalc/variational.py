@@ -77,15 +77,15 @@ the type of what is left depends on the order of the additions, and
 the sweeps keep that order.  The operators read nothing of a
 Functional but its density.
 
-_DerivativeTable serves the direct expansion of the coboundary columns
-(see cohomology): it derives each (axis, monomial) once, by
-total_derivative on the unit monomial, and its power method builds the
-mixed derivatives D_x^i D_y^j of a monomial from those rows.  The
-generator columns of one block share one table and drop it with the
-block.  A table per column was slower: two order-6 conjugates took
-0.358 s instead of 0.314 s (median of 10 runs, Python 3.11, 2 vCPUs).
-One process-wide table keeps every monomial ever derived, and raised
-peak RSS from 20.2 to 21.7 MB for a 3% gain in wall time.
+_DerivativeTable serves the coboundary columns (see cohomology): it
+derives each (axis, monomial) once, by total_derivative on the unit
+monomial, and composes D_y^2 from y rows.  A column walks its mixed
+derivatives D_x^i D_y^j by steps of these rows and keeps none: a
+partial m/u^alpha of a slice has one generator m.  The columns of one
+slice share one table.  A table per column was slower (0.358 s against
+0.314 s on two order-6 conjugates, median of 10 runs, Python 3.11, 2
+vCPUs), one per degree no faster, and one process-wide table raised
+peak RSS from 20.2 to 21.7 MB for 3% less wall time.
 The Euler operators themselves run on total_derivative for every
 caller; only its theta images are kept process-wide (see algebra).
 
@@ -175,45 +175,39 @@ def _signed_horner(parts: dict, axis: str) -> DiffPoly:
 
 
 class _DerivativeTable:
-    """Mixed total derivatives of unit monomials, each (monomial, axis) derived once.
+    """Total derivatives of theta-free unit monomials, each derived once.
 
-    The row of a monomial is its derivative as a tuple of (key, int
-    multiplier), computed on first use by total_derivative on the unit
-    monomial, so the Leibniz rule is written once.  power(key, i, j)
-    gives D_x^i D_y^j of a unit monomial in the same form, memoized per
-    (key, i, j) and built from the rows.  A table is meant to be dropped
+    The row of a monomial on axis x or y is its derivative as a tuple of
+    (key, int multiplier), computed on first use by total_derivative on
+    the unit monomial, so the Leibniz rule is written once; its row on
+    axis yy is D_y^2, composed from y rows.  step(cur, axis) applies the
+    rows to a tuple of the same form.  A table is meant to be dropped
     with its batch: it holds every monomial the batch reached.
     """
 
-    __slots__ = ("_rows", "_powers")
+    __slots__ = ("_rows",)
 
     def __init__(self):
-        self._rows = {"x": {}, "y": {}}
-        self._powers = {}
+        self._rows = {"x": {}, "y": {}, "yy": {}}
 
     def _row(self, key, axis):
-        rows = self._rows[axis]
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = tuple(total_derivative(DiffPoly({key: 1}), axis).terms.items())
+        if axis == "yy":
+            row = self.step(self.step(((key, 1),), "y"), "y")
+        else:
+            row = tuple(total_derivative(DiffPoly({key: 1}), axis).terms.items())
+        self._rows[axis][key] = row
         return row
 
-    def power(self, key, i: int, j: int) -> tuple:
-        """D_x^i D_y^j of the unit monomial key, as a tuple of (key, int)."""
-        if not (i or j):
-            return ((key, 1),)
-        memo = (key, i, j)
-        out = self._powers.get(memo)
-        if out is None:
-            # (i, j) is dy of (i, j-1), and (i, 0) is dx of (i-1, 0)
-            prev = self.power(key, i, j - 1) if j else self.power(key, i - 1, 0)
-            axis = "y" if j else "x"
-            acc = {}
-            for k, m in prev:
-                for k2, m2 in self._row(k, axis):
-                    acc[k2] = acc.get(k2, 0) + m * m2
-            out = self._powers[memo] = tuple((k, v) for k, v in acc.items() if v)
-        return out
+    def step(self, cur: tuple, axis: str) -> tuple:
+        """D_x, D_y or D_y^2 (axis x, y or yy) of a tuple of (key, int)."""
+        rows = self._rows[axis]
+        if len(cur) == 1 and cur[0][1] == 1:
+            return rows.get(cur[0][0]) or self._row(cur[0][0], axis)
+        acc = {}
+        for k, m in cur:
+            for k2, m2 in rows.get(k) or self._row(k, axis):
+                acc[k2] = acc.get(k2, 0) + m * m2
+        return tuple(acc.items())  # theta-free: every multiplier is positive
 
 
 def var_u(f) -> DiffPoly:

@@ -490,12 +490,12 @@ def _typed(poly):
     return {k: (c, type(c)) for k, c in poly.terms.items()}
 
 
-def test_ad_p1_column_is_the_odd_part_of_the_horner_column():
-    # every generator monomial of the blocks d <= 8, w <= 4, as an int unit
-    # monomial through one table per block (as solve_slice builds them)
-    # and as a QQ monomial through a fresh table
+def test_ad_p1_column_is_the_odd_part_of_the_horner_column(max_degree=8):
+    # every generator monomial of the blocks d <= max_degree, w <= 4, as an
+    # int unit monomial through one table per block (as solve_slice builds
+    # them) and as a QQ monomial through a fresh table; CI runs max_degree=11
     count = 0
-    for d in range(1, 9):
+    for d in range(1, max_degree + 1):
         for w in range(5):
             table = _DerivativeTable()
             for m in enumerate_basis(Grade(d - 1, 0, w + 1)):
@@ -649,11 +649,13 @@ def test_odd_order_coordinates_decide_bivector_equality(pair):
 def test_block_columns_derive_each_monomial_once(monkeypatch, w):
     # a slice's generator columns share one derivative table: while they
     # are built, total_derivative runs once per distinct (monomial, axis),
-    # always on a unit monomial
+    # always on a unit monomial and only along x and y; each stored
+    # D_y^2 row is D_y applied twice to its unit monomial
     from thetacalc import variational
 
     calls = []
     building = []
+    tables = []
 
     def counting(a, axis):
         if building:
@@ -662,6 +664,7 @@ def test_block_columns_derive_each_monomial_once(monkeypatch, w):
 
     def generator_column(m, table):
         building.append(m)
+        tables.append(table)
         try:
             return _ad_p1_column(m, table)
         finally:
@@ -669,12 +672,37 @@ def test_block_columns_derive_each_monomial_once(monkeypatch, w):
 
     monkeypatch.setattr(variational, "total_derivative", counting)
     monkeypatch.setattr(cohomology, "_ad_p1_column", generator_column)
+    second = 0
     for a in range(7):
         calls.clear()
+        tables.clear()
         solve_slice(7, w, a, th(0, 0))
         assert calls, a
         assert len(calls) == len(set(calls)), a
         assert all(len(terms) == 1 and terms[0][1] == 1 for terms, _ in calls)
+        assert {axis for _, axis in calls} <= {"x", "y"}, a
+        assert len({id(t) for t in tables}) == 1, a  # one table per slice
+        for key, row in tables[0]._rows["yy"].items():
+            twice = total_derivative(total_derivative(DiffPoly({key: 1}), "y"), "y")
+            assert _typed(DiffPoly(dict(row))) == _typed(twice), key
+            second += 1
+    assert second
+
+
+def test_derivative_table_keeps_rows_only():
+    # the table keeps first-derivative rows per axis and the D_y^2 rows,
+    # each keyed by a monomial; the mixed derivatives D_x^i D_y^j of a
+    # column are walked, not memoized per (key, i, j)
+    table = _DerivativeTable()
+    for key in _u_keys(3, 4, 3):
+        _ad_p1_column(DiffPoly({key: 1}), table)
+    assert not hasattr(table, "power")
+    assert set(table.__slots__) == {"_rows"}
+    assert set(table._rows) == {"x", "y", "yy"}
+    assert all(table._rows.values())
+    for rows in table._rows.values():
+        for upow, ufs, ths in rows:
+            assert type(upow) is int and type(ufs) is tuple and ths == ()
 
 
 # -- structural lemma verifiers ---------------------------------------------
