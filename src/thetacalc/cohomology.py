@@ -74,9 +74,9 @@ The generator columns are expanded directly by Leibniz (_ad_p1_column),
 generating only odd-order terms and walking their mixed derivatives
 through one variational._DerivativeTable per slice, which derives each
 monomial once per axis and is dropped with the slice.  The split-class
-columns, the c column and the bockstein and nontriv verifiers run the
-Euler operators of variational directly; verify_varder_lemma reads one
-closed-form coefficient per target instead.
+columns, the c column and the bockstein verifier run the Euler
+operators of variational; verify_nontriv_lemma reads only the leads of
+its var_u columns, verify_varder_lemma one closed-form coefficient.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from .errors import InternalInconsistency, NotACocycle
 from .linsolve import solve
 from .rationals import QQ
 from .schouten import pst, schouten, standard_leading_term
-from .variational import Functional, _DerivativeTable, var_theta, var_u
+from .variational import Functional, _DerivativeTable, var_theta
 
 
 def _sum_of_products(pairs) -> DiffPoly:
@@ -435,6 +435,35 @@ def _dx_tuples(ks) -> list:
     ]
 
 
+def _var_u_lead(f: DiffPoly):
+    """The largest key of var_u(f), or None when var_u(f) = 0, for f with
+    terms c u^(a,0) th^(s1,0) th^(s2,0) th^(s3,0) only (else raises
+    InternalInconsistency), by a pruned sweep (see verify_nontriv_lemma)."""
+    parts = {}  # a -> {(s1, s2, s3): its coefficient in df/du^(a,0)}
+    for (upow, ufs, ths), c in f.terms.items():
+        (a, t), e = ufs[0] if ufs else ((0, 0), upow)
+        ks, ts = zip(*ths) if ths else ((), ())
+        if upow + len(ufs) != 1 or e != 1 or t or len(ks) != 3 or any(ts):
+            raise InternalInconsistency("a var_u lead needs u^(a,0) th^(s,0)^3 terms")
+        parts.setdefault(a, {})[ks] = c
+    top = max((ks[0] + a for a, part in parts.items() for ks in part), default=-1)
+    for T in range(top, -1, -1):
+        acc = {}
+        for a in range(max(parts), -1, -1):
+            acc, prev = {}, acc
+            for ks, c in prev.items():
+                for m in _dx_tuples(ks):
+                    if m[0] + a >= T:
+                        acc[m] = acc.get(m, 0) + c
+            for ks, c in parts.get(a, {}).items():
+                if ks[0] + a >= T:
+                    acc[ks] = acc.get(ks, 0) + (-c if a & 1 else c)
+        lead = max((ks for ks, c in acc.items() if c), default=None)
+        if lead is not None:
+            return (0, (), tuple((s, 0) for s in lead))
+    return None
+
+
 def _outer_split_is_triangular(k: int) -> bool:
     """The leading-monomial certificate of verify_square_lemma's split.
 
@@ -586,14 +615,13 @@ def verify_varder_lemma(d: int) -> bool:
     )
 
 
-def _leads_distinct(columns) -> bool:
-    """True when the columns are nonzero and their leads (largest keys)
-    are pairwise distinct.  This proves them independent: in a nonzero
-    combination, the largest lead among the columns used is a key of no
-    other column used, so it keeps its coefficient."""
-    if any(col.is_zero() for col in columns):
-        return False
-    return len({max(col.terms) for col in columns}) == len(columns)
+def _leads_distinct(leads) -> bool:
+    """True when the leads (largest keys) of some columns are pairwise
+    distinct and none is None (a zero column).  This proves the columns
+    independent: in a nonzero combination, the largest lead among the
+    columns used is a key of no other column used, so it keeps its
+    coefficient."""
+    return None not in leads and len(set(leads)) == len(leads)
 
 
 def verify_bockstein_injective(d: int) -> bool:
@@ -611,7 +639,7 @@ def verify_bockstein_injective(d: int) -> bool:
     _, columns = _split_class_columns(d)
     if any(col.is_zero() for col in columns):
         return False
-    if not _leads_distinct(columns):
+    if not _leads_distinct([max(col.terms) for col in columns]):
         raise InternalInconsistency(
             f"split-class columns share a lead at d={d}; the check cannot decide"
         )
@@ -649,21 +677,29 @@ def verify_nontriv_lemma(d: int) -> bool:
     independent and give True; a zero off-diagonal column or two equal
     leads raise InternalInconsistency, because the certificate cannot
     decide the lemma then.
+
+    _var_u_lead finds the leads without the columns, by var_u's Horner
+    sweep B_a = D_x B_(a+1) + (-1)^a df/du^(a,0) on index tuples.  D_x is
+    linear, raises one index by one and never reorders (_dx_tuples), so a
+    tuple with k steps left ends with first index in [s1, s1+k]: dropping
+    it when s1 + k < T leaves exactly the terms of var_u with first index
+    >= T, whose largest key is the lead.  T falls from the largest s1 + a
+    while there are none; T = 0 is the whole column (None: var_u = 0).
     """
     quot = theta_quotient_basis(3, d)
     if not quot:
         return True
-    # int unit monomials keep the brackets and the Euler operators on ints;
+    # int unit monomials keep the brackets and the sweeps on ints;
     # each split image computes its variations once, for all its brackets
     splits = [Functional(bockstein_split(q)) for q in quot]
-    cols = []
+    leads = []
     for i, Bi in enumerate(splits):
         for Bj in splits[i:]:
-            col = var_u(schouten(Bi, Bj))
-            if Bi is Bj and col.is_zero():
+            lead = _var_u_lead(schouten(Bi, Bj).density)
+            if Bi is Bj and lead is None:
                 return False
-            cols.append(col)
-    if not _leads_distinct(cols):
+            leads.append(lead)
+    if not _leads_distinct(leads):
         raise InternalInconsistency(
             f"self-bracket columns share a lead at d={d}; the check cannot decide"
         )

@@ -39,8 +39,8 @@ and var_u is injective on the quotient at every weight w >= 1, as
 var_theta is at every positive super degree.  On a density of positive
 u-weight and positive super degree either operator decides, and the
 cheaper one is the one whose variable has fewer factors per term:
-cohomology.verify_nontriv_lemma ranks var_u of self-brackets that carry
-one u-factor but three theta factors in each term.
+cohomology.verify_nontriv_lemma takes the leads of var_u of brackets
+with one u-factor but three theta factors in each term.
 
 The Euler operators sum (-D)^k over the partial derivatives by Horner's
 rule, one sweep over the y-order and one over the x-order.  Each sweep

@@ -439,12 +439,17 @@ def test_bockstein_check_agrees_with_the_whole_block():
         assert verify_bockstein_injective(d) == splits_independent, d
 
 
+def _leads(columns):
+    # the lead of each column, None for a zero one
+    return [max(col.terms) if col.terms else None for col in columns]
+
+
 def test_leads_certificate_decides_independence():
     a, b, c = (th(k, 0) for k in range(3))
-    assert cohomology._leads_distinct([a, a + b, b + c])
+    assert cohomology._leads_distinct(_leads([a, a + b, b + c]))
     # equal leads with independent columns: the certificate cannot tell
-    assert not cohomology._leads_distinct([a + c, c])
-    assert not cohomology._leads_distinct([a, DiffPoly.zero()])
+    assert not cohomology._leads_distinct(_leads([a + c, c]))
+    assert not cohomology._leads_distinct(_leads([a, DiffPoly.zero()]))
     assert cohomology._leads_distinct([])
 
 
@@ -453,7 +458,7 @@ def test_split_class_leads_are_distinct_and_the_rank_is_full():
     for d in range(1, 31):
         _, columns = cohomology._split_class_columns(d)
         assert reference_rank(columns) == len(columns), d
-        assert cohomology._leads_distinct(columns), d
+        assert cohomology._leads_distinct(_leads(columns)), d
 
 
 def test_bockstein_cannot_decide_equal_leads(monkeypatch):
@@ -864,9 +869,13 @@ def test_nontriv_agrees_with_the_reference_up_to_quotient_dimension_two():
         assert verify_nontriv_lemma(d) == reference_nontriv(d), d
 
 
-def _pair_columns(d, euler):
+def _pair_brackets(d):
     splits = [Functional(bockstein_split(q)) for q in theta_quotient_basis(3, d)]
-    return [euler(schouten(Bi, Bj)) for i, Bi in enumerate(splits) for Bj in splits[i:]]
+    return [schouten(Bi, Bj).density for i, Bi in enumerate(splits) for Bj in splits[i:]]
+
+
+def _pair_columns(d, euler):
+    return [euler(f) for f in _pair_brackets(d)]
 
 
 def test_nontriv_var_u_and_var_theta_pair_columns_agree():
@@ -890,7 +899,62 @@ def test_nontriv_pair_leads_are_distinct_and_the_rank_is_full():
     for d in range(1, 23):
         columns = _pair_columns(d, var_u)
         assert reference_rank(columns) == len(columns), d
-        assert cohomology._leads_distinct(columns), d
+        assert cohomology._leads_distinct(_pair_columns(d, cohomology._var_u_lead)), d
+
+
+def _top(f):
+    # the largest s1 + a over the terms c u^(a,0) th^(s1,0) ... of f
+    return max(ths[0][0] + (ufs[0][0][0] if ufs else 0) for _, ufs, ths in f.terms)
+
+
+def test_var_u_lead_matches_the_full_column(max_degree=24):
+    # every pair bracket of every degree <= max_degree; CI runs
+    # max_degree=48.  The sweep stops at T = the lead's first index, so
+    # drops records how far T fell below the top of each bracket
+    drops = set()
+    for d in range(1, max_degree + 1):
+        for f in _pair_brackets(d):
+            lead = cohomology._var_u_lead(f)
+            assert lead == _leads([var_u(f)])[0], d
+            if lead is not None:
+                drops.add(_top(f) - lead[2][0][0])
+    assert {0, 1} <= drops
+
+
+def test_var_u_lead_when_the_top_layers_cancel():
+    # dx(u^(3,0) th^5 th^1 th^0) has var_u zero and top s1 + a = 9, so the
+    # sweep must fall from T = 9 to the first index 2 of var_u(u th^2 th^1 th^0)
+    low = mul(u(), theta_monomial((2, 1, 0)))
+    f = mul(u(3, 0), theta_monomial((5, 1, 0))).dx() + low
+    assert _top(f) == 9
+    assert cohomology._var_u_lead(f) == (0, (), ((2, 0), (1, 0), (0, 0))) == max(var_u(f).terms)
+    # a rational coefficient and one D_x step: -3/2 D_x th^4 th^2 th^0 leads with th^5 th^2 th^0
+    g = mul(u(1, 0), theta_monomial((4, 2, 0))).scale(QQ(-3, 2))
+    assert cohomology._var_u_lead(g) == (0, (), ((5, 0), (2, 0), (0, 0))) == max(var_u(g).terms)
+
+
+def test_var_u_lead_of_a_zero_column_is_none():
+    assert cohomology._var_u_lead(DiffPoly.zero()) is None
+    # a nonzero divergence: var_u is zero at every T down to 0
+    f = mul(u(), theta_monomial((2, 1, 0))).dx()
+    assert not f.is_zero() and var_u(f).is_zero()
+    assert cohomology._var_u_lead(f) is None
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        mul(u(0, 1), theta_monomial((2, 1, 0))),  # a y-derivative of u
+        mul(u(), th(2, 1) * th(1, 0) * th(0, 0)),  # a y-derivative of theta
+        mul(u() * u(1, 0), theta_monomial((2, 1, 0))),  # u-weight 2
+        mul(u(1, 0) ** 2, theta_monomial((2, 1, 0))),  # u-weight 2 in one factor
+        theta_monomial((2, 1, 0)),  # u-weight 0
+        mul(u(), theta_monomial((2, 1))),  # two thetas
+    ],
+)
+def test_var_u_lead_rejects_other_shapes(f):
+    with pytest.raises(InternalInconsistency):
+        cohomology._var_u_lead(f)
 
 
 def test_nontriv_cannot_decide_equal_leads(monkeypatch):
