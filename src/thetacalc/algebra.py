@@ -455,36 +455,39 @@ def _u_keys(a: int, b: int, w: int) -> tuple:
     Built directly as ascending multisets of u-derivative indices (s, t)
     with s <= a and t <= b, at most w factors, the rest of the weight on
     the underived u.  The last factor is the index of the whole order
-    left, so it is looked up; at w = 1 no index is even listed.
+    left, so it is looked up; at w = 1 no index is even listed.  The
+    search is no self-calling closure, so it leaves no reference cycle.
     """
     if a < 0 or b < 0:
         return ()
     indices = [(s, t) for s in range(a + 1) for t in range(b + 1) if s or t] if w > 1 else ()
     out = []
-
-    def rec(pos, xs, ys, count, ufs):
-        if not (xs or ys):
-            out.append((w - count, ufs, ()))
-            return
-        if count == w:
-            return  # order left but no factor left
-        if count == w - 1:
-            # one factor left: it is (xs, ys) itself, taken only if it
-            # sorts after the last factor, so no multiset comes twice
-            if not ufs or (xs, ys) > ufs[-1][0]:
-                out.append((0, ufs + (((xs, ys), 1),), ()))
-            return
-        for i in range(pos, len(indices)):
-            s, t = indices[i]
-            if s > xs:
-                break
-            e = 1
-            while e * s <= xs and e * t <= ys and count + e <= w:
-                rec(i + 1, xs - e * s, ys - e * t, count + e, ufs + (((s, t), e),))
-                e += 1
-
-    rec(0, a, b, 0, ())
+    _u_key_search(out, indices, w, 0, a, b, 0, ())
     return tuple(sorted(out))
+
+
+def _u_key_search(out, indices, w, pos, xs, ys, count, ufs):
+    """Append to out the keys of _u_keys that extend the factors ufs,
+    with indices[pos:] left to take and order (xs, ys) left to place."""
+    if not (xs or ys):
+        out.append((w - count, ufs, ()))
+        return
+    if count == w:
+        return  # order left but no factor left
+    if count == w - 1:
+        # one factor left: it is (xs, ys) itself, taken only if it
+        # sorts after the last factor, so no multiset comes twice
+        if not ufs or (xs, ys) > ufs[-1][0]:
+            out.append((0, ufs + (((xs, ys), 1),), ()))
+        return
+    for i in range(pos, len(indices)):
+        s, t = indices[i]
+        if s > xs:
+            break
+        e = 1
+        while e * s <= xs and e * t <= ys and count + e <= w:
+            _u_key_search(out, indices, w, i + 1, xs - e * s, ys - e * t, count + e, ufs + (((s, t), e),))
+            e += 1
 
 
 def _theta_sets(degree: int, count: int, prev=None):

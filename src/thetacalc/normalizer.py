@@ -7,10 +7,17 @@ by the exponential of a vector field, and a surviving split class stops
 the run as an obstruction (the input is either not Poisson or truncated
 too early for the class to be excluded).  Applying the recorded
 generators in order reproduces the normalized series by construction.
+
+normalize and verify_distinctness pause the cyclic garbage collector
+(process-wide) and then restore the caller's setting.  Their work leaves no reference
+cycle (the suite checks it), so reference counting frees all of it,
+and a collection would only rescan the live rows, keys and brackets.
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from typing import NamedTuple
 
 from .algebra import DiffPoly, Grade
@@ -81,6 +88,23 @@ def _require_standard_leading(P: BracketSeries) -> None:
         )
 
 
+def _collector_paused(fn):
+    """fn, run with the cyclic garbage collector off and then set back."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def normalize(P: BracketSeries, order: int | None = None) -> NormalizationResult:
     """Reduce a bracket with standard leading term to its normal form.
 
@@ -168,6 +192,7 @@ def invariants_fast(P: BracketSeries):
     return c1, c2
 
 
+@_collector_paused
 def verify_distinctness(cs, cs_other, order: int) -> bool:
     """Whether two normal forms are Miura equivalent within the order.
 

@@ -46,40 +46,50 @@ def _super_degree(F: Functional) -> int:
     return p
 
 
+def _products(P: Functional, Q: Functional):
+    """The expansion of [P, Q]: (p, q, products), the operands' super
+    degrees and the products whose sum is the bracket, as (negated,
+    left, right) triples in the order schouten sums them.  An operand
+    with no u dependence has var_u = 0, so its product is left out and
+    the other operand's var_theta is not computed.  For p odd and q even,
+    var_u(P) and var_theta(Q) are both odd, so -var_u(P) var_theta(Q) is
+    exactly var_theta(Q) var_u(P): the sign is folded into the factor
+    order instead of negating a product.
+    """
+    p = _super_degree(P)
+    q = _super_degree(Q)
+    products = []
+    if not Q.is_u_free():
+        products.append((False, P.theta_variation(), Q.u_variation()))
+    if not P.is_u_free():
+        if p % 2 and not q % 2:
+            products.append((False, Q.theta_variation(), P.u_variation()))
+        else:
+            products.append((p % 2 == 1, P.u_variation(), Q.theta_variation()))
+    return p, q, products
+
+
 def schouten(P: Functional, Q: Functional) -> Functional:
     """Schouten-Nijenhuis bracket of homogeneous multivectors.
 
     The bracket is var_theta(P) var_u(Q) + (-1)^p var_u(P) var_theta(Q),
-    and it reads only the variations of the products it needs, which
-    each Functional computes once: an operand with no u dependence has
-    var_u = 0, so its product is skipped, the other product is returned
-    as it is, and the other operand's var_theta is not computed.  For p
-    odd and q even, var_u(P) and var_theta(Q) are both odd, so
-    -var_u(P) var_theta(Q) is exactly var_theta(Q) var_u(P): the sign
-    is folded into the factor order instead of negating a product.
-    Homogeneous operands give every term of both products p+q-1 thetas
-    and deg P + deg Q derivatives (the Euler operators keep the standard
+    and it reads only the variations of the products it needs (see
+    _products), which each Functional computes once.  Homogeneous
+    operands give every term of both products p+q-1 thetas and
+    deg P + deg Q derivatives (the Euler operators keep the standard
     degree), so a nonzero bracket is stamped with that grade, its degree
     only when both operand degrees are cached.
     """
-    p = _super_degree(P)
-    q = _super_degree(Q)
-    P_free = P.is_u_free()
-    Q_free = Q.is_u_free()
-    if P_free and Q_free:
-        return Functional.zero()
-    first = None if Q_free else mul(P.theta_variation(), Q.u_variation())
-    if P_free:
-        out = first
-    elif p % 2 and not q % 2:
-        second = mul(Q.theta_variation(), P.u_variation())
-        out = second if first is None else first + second
-    else:
-        second = mul(P.u_variation(), Q.theta_variation())
-        if first is None:
-            out = -second if p % 2 else second
+    p, q, products = _products(P, Q)
+    out = None
+    for negated, left, right in products:
+        prod = mul(left, right)
+        if out is None:
+            out = -prod if negated else prod
         else:
-            out = first - second if p % 2 else first + second
+            out = out - prod if negated else out + prod
+    if out is None:
+        return Functional.zero()
     R = Functional(out)
     if out.terms:
         R._super = p + q - 1

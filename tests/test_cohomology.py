@@ -869,9 +869,13 @@ def test_nontriv_agrees_with_the_reference_up_to_quotient_dimension_two():
         assert verify_nontriv_lemma(d) == reference_nontriv(d), d
 
 
-def _pair_brackets(d):
+def _pair_splits(d):
     splits = [Functional(bockstein_split(q)) for q in theta_quotient_basis(3, d)]
-    return [schouten(Bi, Bj).density for i, Bi in enumerate(splits) for Bj in splits[i:]]
+    return [(Bi, Bj) for i, Bi in enumerate(splits) for Bj in splits[i:]]
+
+
+def _pair_brackets(d):
+    return [schouten(Bi, Bj).density for Bi, Bj in _pair_splits(d)]
 
 
 def _pair_columns(d, euler):
@@ -890,7 +894,7 @@ def test_nontriv_var_u_and_var_theta_pair_columns_agree():
 
 
 def test_nontriv_is_false_on_a_zero_self_bracket(monkeypatch):
-    monkeypatch.setattr(cohomology, "schouten", lambda P, Q: Functional.zero())
+    monkeypatch.setattr(cohomology, "_pair_lead", lambda P, Q: None)
     assert verify_nontriv_lemma(15) is False
 
 
@@ -957,6 +961,93 @@ def test_var_u_lead_rejects_other_shapes(f):
         cohomology._var_u_lead(f)
 
 
+def test_pair_lead_is_the_lead_of_the_full_bracket(max_degree=30):
+    # every pair of every degree <= max_degree; CI runs max_degree=60
+    pairs = 0
+    for d in range(1, max_degree + 1):
+        for Bi, Bj in _pair_splits(d):
+            lead = cohomology._pair_lead(Bi, Bj)
+            assert lead is not None and lead == cohomology._var_u_lead(schouten(Bi, Bj).density), d
+            pairs += 1
+    assert pairs == {30: 165, 60: 1155}.get(max_degree, pairs)
+
+
+class _Tagged(int):
+    """An int coefficient that logs each product it is a factor of."""
+
+    log = []
+
+    def __new__(cls, value, tag):
+        self = super().__new__(cls, value)
+        self.tag = tag
+        return self
+
+    def __mul__(self, other):
+        _Tagged.log.append(frozenset((self.tag, getattr(other, "tag", None))))
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _tagged(B, name, sign=1):
+    """B with its variations carrying tagged coefficients, var_theta times sign."""
+    theta, u = (
+        DiffPoly({k: _Tagged(s * c, (name + part, k)) for k, c in poly.terms.items()})
+        for poly, part, s in ((B.theta_variation(), "th", sign), (B.u_variation(), "u", 1))
+    )
+    return Functional(B.density, theta, u)
+
+
+def _multiplications(fn, *args):
+    _Tagged.log.clear()
+    out = fn(*args)
+    return out, list(_Tagged.log)
+
+
+def test_pair_lead_multiplies_each_factor_pair_once():
+    # the factors of P and Q carry tagged coefficients, so a product of
+    # two factor terms is logged by their tags; mul in schouten forms
+    # every nonzero product once, and _pair_lead a subset, each once
+    taken = formed = 0
+    for d in range(1, 19):
+        for Bi, Bj in _pair_splits(d):
+            P, Q = _tagged(Bi, "P"), _tagged(Bj, "Q")
+            lead, done = _multiplications(cohomology._pair_lead, P, Q)
+            bracket, every = _multiplications(schouten, P, Q)
+            assert lead == cohomology._var_u_lead(bracket.density), d
+            assert len(set(done)) == len(done) and set(done) <= set(every), d
+            assert len(set(every)) == len(every)
+            taken, formed = taken + len(done), formed + len(every)
+    assert taken * 10 < formed  # 198 of 4240 through degree 18
+    # the zero column: var_theta(Q) = -var_theta(P) and var_u(Q) = var_u(P)
+    # cancel the two products, so T falls to 0 and every pair is taken
+    B = _pair_splits(15)[0][0]
+    P, Q = _tagged(B, "P"), _tagged(B, "Q", sign=-1)
+    lead, done = _multiplications(cohomology._pair_lead, P, Q)
+    bracket, every = _multiplications(schouten, P, Q)
+    assert lead is None and bracket.density.is_zero()
+    assert sorted(done, key=sorted) == sorted(every, key=sorted) and len(set(done)) == len(done)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (mul(u(0, 1), th()), theta_monomial((2, 1))),  # a y-derivative of u
+        (mul(u(), th(1, 1)), theta_monomial((2, 1))),  # a y-derivative of theta
+        (mul(u() * u(1, 0), th()), theta_monomial((2, 1))),  # u-weight 2
+        (mul(u(), th()), theta_monomial((2, 1, 0))),  # three thetas
+        (mul(u(), th()), mul(u(), th(3, 0))),  # two u-linear factors
+        (theta_monomial((2, 1)), theta_monomial((3, 1))),  # two u-free factors
+        (mul(u(), th()) + theta_monomial((2, 1)), theta_monomial((3, 1))),  # a mixed factor
+    ],
+)
+def test_pair_lead_rejects_other_factors(left, right):
+    # the variations are given, so the pair bracket is theirs alone
+    P = Functional(mul(u(), theta_monomial((1, 0))), left, right)
+    with pytest.raises(InternalInconsistency):
+        cohomology._pair_lead(P, P)
+
+
 def test_nontriv_cannot_decide_equal_leads(monkeypatch):
     monkeypatch.setattr(cohomology, "_leads_distinct", lambda columns: False)
     with pytest.raises(InternalInconsistency, match="cannot decide"):
@@ -965,7 +1056,7 @@ def test_nontriv_cannot_decide_equal_leads(monkeypatch):
 
 def test_nontriv_cannot_decide_dependent_pair_columns(monkeypatch):
     # the first off-diagonal pair, (0, 1), repeats the diagonal pair (0, 0)
-    bracket = cohomology.schouten
+    bracket = cohomology._pair_lead
     repeated = []
 
     def one_repeat(P, Q):
@@ -974,7 +1065,7 @@ def test_nontriv_cannot_decide_dependent_pair_columns(monkeypatch):
             Q = P
         return bracket(P, Q)
 
-    monkeypatch.setattr(cohomology, "schouten", one_repeat)
+    monkeypatch.setattr(cohomology, "_pair_lead", one_repeat)
     with pytest.raises(InternalInconsistency, match="cannot decide"):
         verify_nontriv_lemma(15)
     assert len(repeated) == 1

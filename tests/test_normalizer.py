@@ -596,3 +596,98 @@ def test_failure_path_runs_each_check_at_most_once(monkeypatch):
         normalize(parse(text).to_series())
     assert exc.value.order == 4
     assert counts["jacobi"] == 1 and counts["cocycle"] <= 1
+
+
+def _error_name(fn, *args):
+    # the name of the error fn raises, or "ok"; the error is dropped here,
+    # so it keeps no frame alive
+    try:
+        fn(*args)
+    except (JacobiViolation, ObstructionNonzeroBockstein) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def _data_series(name):
+    from pathlib import Path
+
+    from thetacalc.parser import parse
+
+    return parse((Path(__file__).parent / "data" / name).read_text(encoding="utf-8")).to_series()
+
+
+_OUTCOMES = {
+    "example_eg.pb": "ok",
+    "example_eg_theta.pb": "ok",
+    "nonpoisson.pb": "JacobiViolation",
+    "obstruction.pb": "ObstructionNonzeroBockstein",
+}
+
+
+@pytest.mark.parametrize("source", ["recipe-7", *_OUTCOMES])
+def test_normalize_leaves_no_cyclic_garbage(source):
+    # reference counting frees all the work of normalize, so pausing the
+    # cyclic collector while it runs leaves nothing for it to find
+    import gc
+
+    P = _recipe_conjugate(7)[1] if source == "recipe-7" else _data_series(source)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = _error_name(normalize, P)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert outcome == _OUTCOMES.get(source, "ok")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("source", ["example_eg.pb", "nonpoisson.pb", "obstruction.pb"])
+def test_normalize_pauses_the_collector_and_restores_it(monkeypatch, source, enabled):
+    import gc
+
+    from thetacalc import normalizer
+
+    seen = []
+    steps = normalizer._normalize_steps
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return steps(*args)
+
+    monkeypatch.setattr(normalizer, "_normalize_steps", recording)
+    P = _data_series(source)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        outcome = _error_name(normalize, P)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert outcome == _OUTCOMES[source]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_distinctness_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    import gc
+
+    from thetacalc import normalizer
+
+    seen = []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return decompose_h2(*args)
+
+    monkeypatch.setattr(normalizer, "decompose_h2", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert verify_distinctness([QQ(1)], [QQ(2)], 3) is False
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
